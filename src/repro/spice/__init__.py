@@ -11,7 +11,6 @@ from .backend import (
     SPARSE_AUTO_THRESHOLD,
     DenseBackend,
     SparseBackend,
-    StampPattern,
     resolve_backend,
 )
 from .dc import ConvergenceError, DCSolution, solve_dc
@@ -21,7 +20,6 @@ from .elements import (
     VCVS,
     Capacitor,
     CurrentSource,
-    DenseStampAccumulator,
     Diode,
     Element,
     Inductor,
@@ -50,13 +48,11 @@ __all__ = [
     "SineWave",
     "PulseWave",
     "StampContext",
-    "DenseStampAccumulator",
     "solve_dc",
     "DCSolution",
     "ConvergenceError",
     "DenseBackend",
     "SparseBackend",
-    "StampPattern",
     "resolve_backend",
     "SPARSE_AUTO_THRESHOLD",
     "solve_ac",

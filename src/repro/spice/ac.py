@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backend import resolve_backend
+from ..obs import span
+from .backend import DenseBackend, resolve_backend
 from .dc import solve_dc
-from .elements import StampContext
 from .netlist import Circuit
 
 __all__ = [
@@ -47,15 +47,7 @@ def assemble_ac_system(
     Returns ``(G, C, B)`` such that the AC response at angular frequency
     ``omega`` solves ``(G + j omega C) X = B``.
     """
-    circuit._elaborate_if_needed()
-    n = circuit.size
-    conductance = np.zeros((n, n))
-    susceptance = np.zeros((n, n))
-    rhs = np.zeros(n, dtype=complex)
-    ctx = StampContext(mode="ac", gmin=gmin)
-    for element in circuit.elements:
-        element.ac_stamp(conductance, susceptance, rhs, x_op, ctx)
-    return conductance, susceptance, rhs
+    return DenseBackend(circuit).assemble_ac(x_op, gmin)
 
 
 def solve_ac(
@@ -88,6 +80,10 @@ def solve_ac(
         an instance); shared with the operating-point solve. The dense
         backend chunks the frequency batch so long sweeps of large
         circuits stay within a bounded memory footprint.
+
+    The sweep is one ``spice.ac`` span carrying ``backend``, ``n``
+    (unknowns), ``frequencies`` and ``newton_iters`` (of the operating
+    point it solved, 0 when ``x_op`` was given).
     """
     if f_start <= 0:
         raise ValueError("f_start must be positive")
@@ -102,19 +98,26 @@ def solve_ac(
         np.log10(f_start), np.log10(f_stop), n_points
     )
     circuit._elaborate_if_needed()
-    solver = resolve_backend(circuit, backend)
-    if x_op is None:
-        x_op = solve_dc(circuit, gmin=gmin, backend=solver).x
-    else:
-        x_op = np.asarray(x_op, dtype=float)
-    omega = 2.0 * np.pi * frequencies
-    try:
-        x = solver.solve_ac_sweep(omega, x_op, gmin)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"{circuit.name}: singular AC system — check for floating "
-            "nodes in the small-signal circuit"
-        ) from exc
+    with span("spice.ac") as analysis:
+        solver = resolve_backend(circuit, backend)
+        analysis.set(
+            backend=solver.name, n=circuit.size, frequencies=int(n_points)
+        )
+        if x_op is None:
+            operating_point = solve_dc(circuit, gmin=gmin, backend=solver)
+            x_op = operating_point.x
+            analysis.set(newton_iters=operating_point.iterations)
+        else:
+            x_op = np.asarray(x_op, dtype=float)
+            analysis.set(newton_iters=0)
+        omega = 2.0 * np.pi * frequencies
+        try:
+            x = solver.solve_ac_sweep(omega, x_op, gmin)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                f"{circuit.name}: singular AC system — check for floating "
+                "nodes in the small-signal circuit"
+            ) from exc
     return ACSolution(circuit, frequencies, x, x_op)
 
 

@@ -4,22 +4,35 @@ Every analysis in :mod:`repro.spice` reduces to solving linear systems
 with the *same sparsity structure*: the Newton system ``J dx = -r``
 (DC and transient) and the small-signal sweep ``(G + j omega C) X = B``
 (AC). A backend owns that structure for one circuit and solves those
-systems:
+systems.
 
-* :class:`DenseBackend` — assembles dense matrices and calls
-  ``numpy.linalg.solve``; bit-compatible with the historical behavior
-  and fastest for small netlists (a few dozen unknowns). The AC sweep is
-  chunked so a long frequency grid never materializes the full
-  ``(n_f, n, n)`` tensor at once.
-* :class:`SparseBackend` — performs the symbolic analysis once per
-  circuit: elements declare their stamp footprint via
-  :meth:`~repro.spice.elements.Element.stamp_pattern`, the union pattern
-  is frozen into a CSC structure, and every subsequent assembly only
-  writes a flat value array. Systems are factorized with SuperLU
+At construction a backend compiles the circuit into a *stamp plan*:
+the distinct non-ground coordinates the elements declare in
+:meth:`~repro.spice.elements.Element.stamp_coords` are laid out once, in
+CSC order, as the slots of a flat value buffer with one trailing sink
+slot for ground, and every element's ``load``/``ac_load`` method is
+paired with the slots of its declared coordinates. An assembly zeroes a
+Python float buffer, runs the loads in element order and converts the
+buffer with one numpy call. Every entry is the same left-to-right sum
+of the same values as the per-element ``M[row, col] += value`` loop, so
+the plan changes no bit of any result. The buffer holds only declared
+entries, so assembly cost grows with them, not with ``n ** 2``.
+
+* :class:`DenseBackend` — scatters the buffer into a zeroed
+  column-major ``(n, n)`` matrix, which reaches LAPACK without a
+  transpose copy. Newton systems are solved by LAPACK ``dgesv``, the
+  getrf/getrs pair behind ``numpy.linalg.solve``, called directly. The
+  AC sweep is chunked so a long frequency grid never materializes the
+  full ``(n_f, n, n)`` tensor at once.
+* :class:`SparseBackend` — the buffer *is* the CSC data array of the
+  frozen structure. Systems are factorized with SuperLU
   (``scipy.sparse.linalg.splu``); the numeric factorization is cached
   and reused whenever the assembled values are unchanged — which makes
   linear circuits factor once per transient run instead of once per
   Newton iteration.
+
+A custom element without ``stamp_coords``/``load`` is refused with
+``NotImplementedError`` when the backend is built.
 
 ``resolve_backend(circuit, "auto")`` switches to the sparse backend at
 :data:`SPARSE_AUTO_THRESHOLD` unknowns, the empirical dense/sparse
@@ -35,12 +48,12 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse as _sparse
+from scipy.linalg.lapack import dgesv as _dgesv
 from scipy.sparse.linalg import splu as _splu
 
-from .elements import DenseStampAccumulator, StampContext
+from .elements import Element, StampContext, padded
 
 __all__ = [
-    "StampPattern",
     "DenseBackend",
     "SparseBackend",
     "resolve_backend",
@@ -55,68 +68,64 @@ SPARSE_AUTO_THRESHOLD = 128
 AC_CHUNK_BYTES = 32 * 1024 * 1024
 
 
-class StampPattern:
-    """Union sparsity pattern of a circuit's stamps (symbolic analysis).
+def _compile(circuit) -> tuple[list, list, list]:
+    """Compile ``circuit`` into ``(coords, loads, ac_loads)``.
 
-    Elements declare coordinates through :meth:`add` /
-    :meth:`add_pairwise`; ground indices (negative) are ignored. The
-    collected set is frozen into a CSC structure by
-    :meth:`csc_structure`, which also yields the slot map value
-    accumulators use to scatter numeric stamps in O(1).
+    ``coords`` are the distinct non-ground declared coordinates sorted
+    by column, then row; a buffer slot ``k < len(coords)`` holds entry
+    ``coords[k]`` and slot ``len(coords)`` is the ground sink. ``loads``
+    and ``ac_loads`` pair each element's bound method, in element order,
+    with the slots of its declared coordinates. Raises
+    ``NotImplementedError`` naming the class of an element without a
+    stamp plan.
     """
-
-    def __init__(self, size: int):
-        self.size = int(size)
-        self._coords: set[tuple[int, int]] = set()
-
-    def add(self, row: int, col: int) -> None:
-        """Declare one matrix coordinate (no-op for ground indices)."""
-        if row >= 0 and col >= 0:
-            self._coords.add((row, col))
-
-    def add_pairwise(self, i: int, j: int) -> None:
-        """Declare the standard two-terminal conductance block."""
-        self.add(i, i)
-        self.add(i, j)
-        self.add(j, i)
-        self.add(j, j)
-
-    @property
-    def nnz(self) -> int:
-        """Number of structurally nonzero entries."""
-        return len(self._coords)
-
-    def csc_structure(self) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Freeze the pattern into ``(indices, indptr, slot_of)``.
-
-        ``indices``/``indptr`` are the CSC row-index and column-pointer
-        arrays for the declared coordinates (sorted by column, then
-        row); ``slot_of`` maps ``(row, col)`` to the position in the CSC
-        data array.
-        """
-        coords = sorted(self._coords, key=lambda rc: (rc[1], rc[0]))
-        indices = np.array([row for row, _ in coords], dtype=np.int32)
-        counts = np.zeros(self.size, dtype=np.int32)
-        for _, col in coords:
-            counts[col] += 1
-        indptr = np.zeros(self.size + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        slot_of = {coord: slot for slot, coord in enumerate(coords)}
-        return indices, indptr, slot_of
+    declarations = []
+    for element in circuit.elements:
+        if type(element).load is Element.load:
+            raise NotImplementedError(
+                f"{type(element).__name__} does not implement stamp_coords/load"
+            )
+        declarations.append((element, element.stamp_coords()))
+    coords = sorted(
+        {
+            (row, col)
+            for _, declared in declarations
+            for row, col in declared
+            if row >= 0 and col >= 0
+        },
+        key=lambda rc: (rc[1], rc[0]),
+    )
+    slot_of = {coord: slot for slot, coord in enumerate(coords)}
+    sink = len(coords)
+    loads, ac_loads = [], []
+    for element, declared in declarations:
+        slots = tuple(slot_of.get(coord, sink) for coord in declared)
+        loads.append((element.load, slots))
+        ac_loads.append((element.ac_load, slots))
+    return coords, loads, ac_loads
 
 
-class _SparseStampAccumulator:
-    """Scatters ``add(row, col, value)`` into a flat CSC data array."""
+def _load_newton(loads: list, nnz: int, n: int, x: np.ndarray, ctx) -> tuple:
+    """Run the Newton loads; returns the padded value and residual lists."""
+    values = [0.0] * (nnz + 1)
+    residual = [0.0] * (n + 1)
+    x = padded(x)
+    prev = None if ctx.x_prev is None else padded(ctx.x_prev)
+    for load, slots in loads:
+        load(slots, values, residual, x, prev, ctx)
+    return values, residual
 
-    __slots__ = ("data", "slot_of")
 
-    def __init__(self, data: np.ndarray, slot_of: dict):
-        self.data = data
-        self.slot_of = slot_of
-
-    def add(self, row: int, col: int, value: float) -> None:
-        if row >= 0 and col >= 0:
-            self.data[self.slot_of[(row, col)]] += value
+def _load_ac(ac_loads: list, nnz: int, n: int, x_op, gmin: float) -> tuple:
+    """Run the AC loads; returns the padded ``G``, ``C`` and ``B`` lists."""
+    conductance = [0.0] * (nnz + 1)
+    susceptance = [0.0] * (nnz + 1)
+    rhs = [0j] * (n + 1)
+    ctx = StampContext(mode="ac", gmin=gmin)
+    x_op = padded(np.asarray(x_op, dtype=float))
+    for ac_load, slots in ac_loads:
+        ac_load(slots, conductance, susceptance, rhs, x_op, ctx)
+    return conductance, susceptance, rhs
 
 
 class DenseBackend:
@@ -127,39 +136,45 @@ class DenseBackend:
     def __init__(self, circuit):
         circuit._elaborate_if_needed()
         self.circuit = circuit
-        self.n = circuit.size
+        self.n = n = circuit.size
+        coords, self._loads, self._ac_loads = _compile(circuit)
+        self.nnz = len(coords)
+        self._positions = np.array(
+            [row + col * n for row, col in coords], dtype=np.intp
+        )
+
+    def _matrix(self, values: list) -> np.ndarray:
+        """The ``(n, n)`` matrix of a padded value buffer."""
+        n = self.n
+        flat = np.zeros(n * n)
+        flat[self._positions] = values[:-1]
+        return flat.reshape(n, n).T
 
     # ------------------------------------------------------------------
     def assemble(
         self, x: np.ndarray, ctx: StampContext
     ) -> tuple[np.ndarray, np.ndarray]:
         """Stamp the Newton system; returns ``(jacobian, residual)``."""
-        jacobian = np.zeros((self.n, self.n))
-        residual = np.zeros(self.n)
-        acc = DenseStampAccumulator(jacobian)
-        for element in self.circuit.elements:
-            element.stamp_values(acc, residual, x, ctx)
-        return jacobian, residual
+        values, residual = _load_newton(self._loads, self.nnz, self.n, x, ctx)
+        return self._matrix(values), np.array(residual[:-1])
 
     def solve_newton(self, x: np.ndarray, ctx: StampContext) -> np.ndarray:
         """Assemble at ``x`` and return the Newton update ``-J^-1 r``."""
         jacobian, residual = self.assemble(x, ctx)
-        return np.linalg.solve(jacobian, -residual)
+        _, _, delta, info = _dgesv(
+            jacobian, -residual, overwrite_a=True, overwrite_b=True
+        )
+        if info > 0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return delta
 
     # ------------------------------------------------------------------
     def assemble_ac(
         self, x_op: np.ndarray, gmin: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stamp the small-signal system; returns dense ``(G, C, B)``."""
-        conductance = np.zeros((self.n, self.n))
-        susceptance = np.zeros((self.n, self.n))
-        rhs = np.zeros(self.n, dtype=complex)
-        ctx = StampContext(mode="ac", gmin=gmin)
-        g_acc = DenseStampAccumulator(conductance)
-        c_acc = DenseStampAccumulator(susceptance)
-        for element in self.circuit.elements:
-            element.ac_stamp_values(g_acc, c_acc, rhs, x_op, ctx)
-        return conductance, susceptance, rhs
+        g, c, rhs = _load_ac(self._ac_loads, self.nnz, self.n, x_op, gmin)
+        return self._matrix(g), self._matrix(c), np.array(rhs[:-1], dtype=complex)
 
     def solve_ac_sweep(
         self, omega: np.ndarray, x_op: np.ndarray, gmin: float
@@ -191,9 +206,9 @@ class DenseBackend:
 class SparseBackend:
     """CSC assembly + SuperLU solves with a frozen symbolic structure.
 
-    The stamp pattern (and with it the CSC ``indices``/``indptr`` arrays
-    and the coordinate->slot map) is computed once in the constructor;
-    every assembly afterwards is a flat value scatter. The most recent
+    The CSC ``indices``/``indptr`` arrays and the slot of every declared
+    coordinate are computed once in the constructor; every assembly
+    afterwards fills the CSC data array by slot. The most recent
     Newton factorization is kept and reused verbatim when the assembled
     values are unchanged, so linear circuits pay for one factorization
     per (dt, method) rather than one per timepoint.
@@ -205,11 +220,15 @@ class SparseBackend:
         circuit._elaborate_if_needed()
         self.circuit = circuit
         self.n = circuit.size
-        pattern = StampPattern(self.n)
-        for element in circuit.elements:
-            element.stamp_pattern(pattern)
-        self._indices, self._indptr, self._slot_of = pattern.csc_structure()
-        self.nnz = pattern.nnz
+        coords, self._loads, self._ac_loads = _compile(circuit)
+        self.nnz = len(coords)
+        self._indices = np.array([row for row, _ in coords], dtype=np.int32)
+        counts = np.bincount(
+            np.array([col for _, col in coords], dtype=np.intp),
+            minlength=self.n,
+        )
+        self._indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(counts, out=self._indptr[1:])
         self._lu = None
         self._lu_data: np.ndarray | None = None
 
@@ -232,12 +251,8 @@ class SparseBackend:
         self, x: np.ndarray, ctx: StampContext
     ) -> tuple[np.ndarray, np.ndarray]:
         """Stamp the Newton system; returns ``(csc_data, residual)``."""
-        data = np.zeros(self.nnz)
-        residual = np.zeros(self.n)
-        acc = _SparseStampAccumulator(data, self._slot_of)
-        for element in self.circuit.elements:
-            element.stamp_values(acc, residual, x, ctx)
-        return data, residual
+        values, residual = _load_newton(self._loads, self.nnz, self.n, x, ctx)
+        return np.array(values[:-1]), np.array(residual[:-1])
 
     def solve_newton(self, x: np.ndarray, ctx: StampContext) -> np.ndarray:
         """Assemble at ``x`` and return the Newton update ``-J^-1 r``."""
@@ -257,15 +272,10 @@ class SparseBackend:
         structure, so the frequency-dependent system is the cheap axpy
         ``g_data + j w c_data`` — no restamping across the sweep.
         """
-        g_data = np.zeros(self.nnz)
-        c_data = np.zeros(self.nnz)
-        rhs = np.zeros(self.n, dtype=complex)
-        ctx = StampContext(mode="ac", gmin=gmin)
-        g_acc = _SparseStampAccumulator(g_data, self._slot_of)
-        c_acc = _SparseStampAccumulator(c_data, self._slot_of)
-        for element in self.circuit.elements:
-            element.ac_stamp_values(g_acc, c_acc, rhs, x_op, ctx)
-        return g_data, c_data, rhs
+        g, c, rhs = _load_ac(self._ac_loads, self.nnz, self.n, x_op, gmin)
+        return (
+            np.array(g[:-1]), np.array(c[:-1]), np.array(rhs[:-1], dtype=complex)
+        )
 
     def solve_ac_sweep(
         self, omega: np.ndarray, x_op: np.ndarray, gmin: float

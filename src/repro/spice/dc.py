@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..obs import span
 from .backend import resolve_backend
 from .elements import StampContext
 from .netlist import Circuit
@@ -61,11 +62,11 @@ def _newton(
                 f"{circuit.name}: singular MNA Jacobian "
                 f"(iteration {iteration}) — check for floating nodes"
             ) from exc
-        step = float(np.max(np.abs(delta))) if delta.size else 0.0
+        step = float(np.abs(delta).max()) if delta.size else 0.0
         if step > max_step:  # damp huge nonlinear updates
             delta *= max_step / step
         x = x + delta
-        if step < abstol + reltol * float(np.max(np.abs(x))):
+        if step < abstol + reltol * float(np.abs(x).max()):
             return x, iteration
     raise ConvergenceError(
         f"{circuit.name}: Newton did not converge in {max_iterations} "
@@ -94,15 +95,40 @@ def solve_dc(
     :func:`repro.spice.backend.resolve_backend`); ``"auto"`` switches to
     the sparse backend on large circuits.
 
+    The call is one ``spice.dc`` span carrying ``backend``, ``n``
+    (unknowns) and ``newton_iters`` (those of the returned solution).
+
     Raises
     ------
     ConvergenceError
         If even gmin stepping fails.
     """
     circuit._elaborate_if_needed()
-    solver = resolve_backend(circuit, backend)
-    n = circuit.size
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    with span("spice.dc") as analysis:
+        solver = resolve_backend(circuit, backend)
+        analysis.set(backend=solver.name, n=circuit.size)
+        solution = _operating_point(
+            circuit, solver, x0, max_iterations, abstol, reltol, max_step, gmin
+        )
+        analysis.set(newton_iters=solution.iterations)
+        return solution
+
+
+def _operating_point(
+    circuit: Circuit,
+    solver,
+    x0: np.ndarray | None,
+    max_iterations: int,
+    abstol: float,
+    reltol: float,
+    max_step: float,
+    gmin: float,
+) -> DCSolution:
+    """Plain damped Newton, then gmin stepping if that fails."""
+    if x0 is None:
+        x = np.zeros(circuit.size)
+    else:
+        x = np.asarray(x0, dtype=float).copy()
     ctx = StampContext(mode="dc", gmin=gmin)
     try:
         solution, iterations = _newton(

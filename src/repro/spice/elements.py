@@ -1,22 +1,27 @@
 """Circuit elements and their MNA stamps.
 
 Every element contributes to the Newton system ``J dx = -r`` at the
-candidate solution ``x`` through a *pattern/values* split:
+candidate solution ``x`` through one declaration and one numeric method
+per analysis:
 
-* :meth:`Element.stamp_pattern` declares, once per circuit, every
-  ``(row, col)`` matrix coordinate the element may ever touch — across
-  DC, transient *and* AC analyses. Solver backends use it to build a
-  fixed sparsity structure (symbolic analysis) that is reused for every
-  subsequent numeric assembly.
-* :meth:`Element.stamp_values` adds the numeric Jacobian/residual
-  contribution at ``x`` into an accumulator implementing
-  ``add(row, col, value)`` (negative indices denote ground and are
-  ignored). :meth:`Element.ac_stamp_values` does the same for the
-  small-signal ``G``/``C`` matrices and excitation phasor.
+* :meth:`Element.stamp_coords` returns the ordered ``(row, col)`` matrix
+  coordinates the element may write: the union over DC, transient and
+  AC and, for the MOSFET, over the drain/source swap. A solver backend
+  resolves every coordinate once, at construction, to a *slot* of its
+  flat value buffer; a coordinate on ground (index ``-1``) resolves to
+  a discarded sink slot.
+* :meth:`Element.load` adds the Newton Jacobian/residual contribution at
+  ``x``: ``jac[s[k]] += value`` for its ``k``-th declared coordinate and
+  ``res[i] += value`` for residual row ``i``. :meth:`Element.ac_load`
+  does the same for the small-signal ``G``/``C`` matrices and the
+  excitation phasor.
 
-The legacy dense entry points ``stamp(jacobian, residual, x, ctx)`` and
-``ac_stamp(G, C, rhs, x_op, ctx)`` are thin shims that route the same
-value stamps into dense matrices and remain bit-compatible.
+The vectors a load reads and writes (solution, previous timepoint,
+residual, phasor) are Python lists with one trailing sink entry that
+ground's index ``-1`` addresses (see :func:`padded`): reads give 0.0,
+writes are discarded. Loads run in element order and every slot sums
+its values left to right from 0.0, so an assembled matrix is bit-for-bit
+the per-element ``M[row, col] += value`` loop.
 
 The residual convention is Kirchhoff's current law per non-ground node —
 ``r[k]`` accumulates the current *leaving* node ``k`` — plus one
@@ -36,7 +41,6 @@ import numpy as np
 
 __all__ = [
     "StampContext",
-    "DenseStampAccumulator",
     "Element",
     "Resistor",
     "Capacitor",
@@ -49,6 +53,7 @@ __all__ = [
     "MOSFET",
     "SineWave",
     "PulseWave",
+    "padded",
 ]
 
 #: Exponent clamp for the diode/subthreshold exponential.
@@ -57,12 +62,12 @@ _EXP_LIMIT = 40.0
 
 @dataclass
 class StampContext:
-    """Per-solve information shared with every stamp call.
+    """Per-solve information shared with every load call.
 
     Attributes
     ----------
     mode:
-        ``"dc"`` or ``"tran"``.
+        ``"dc"``, ``"tran"`` or ``"ac"``.
     time:
         Current simulation time (transient only).
     dt:
@@ -86,6 +91,20 @@ class StampContext:
     gmin: float = 1e-12
 
 
+def padded(vector: np.ndarray) -> list:
+    """``vector`` as a list of floats plus a trailing 0.0 for ground (-1)."""
+    values = vector.tolist()
+    values.append(0.0)
+    return values
+
+
+def _across(vector: np.ndarray, i1: int, i2: int) -> float:
+    """``vector[i1] - vector[i2]`` of an unpadded vector, ground read as 0.0."""
+    v1 = float(vector[i1]) if i1 >= 0 else 0.0
+    v2 = float(vector[i2]) if i2 >= 0 else 0.0
+    return v1 - v2
+
+
 def _limited_exp(arg: np.ndarray | float):
     """Exponential with linear extrapolation above ``_EXP_LIMIT``.
 
@@ -99,28 +118,13 @@ def _limited_exp(arg: np.ndarray | float):
     return peak * (1.0 + (arg - _EXP_LIMIT)), peak
 
 
-class DenseStampAccumulator:
-    """Routes ``add(row, col, value)`` stamps into a dense matrix.
-
-    The dense solver backend (and the legacy :meth:`Element.stamp` /
-    :meth:`Element.ac_stamp` shims) use this adapter so every element can
-    express its numeric stamps once, against the accumulator protocol,
-    regardless of the matrix storage the active backend uses.
-    """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-
-    def add(self, row: int, col: int, value: float) -> None:
-        """Accumulate ``value`` at ``(row, col)``; ground (< 0) is a no-op."""
-        if row >= 0 and col >= 0:
-            self.matrix[row, col] += value
-
-
 class Element:
-    """Base class for all circuit elements."""
+    """Base class for all circuit elements.
+
+    A subclass implements :meth:`stamp_coords` and :meth:`load` (plus
+    :meth:`ac_load` for AC analysis); a backend refuses, at
+    construction, an element that lacks either of the first two.
+    """
 
     #: True for elements whose current is an MNA unknown.
     needs_branch_current: bool = False
@@ -134,107 +138,64 @@ class Element:
         self.branch_index: int | None = None
 
     # ------------------------------------------------------------------
-    def stamp_pattern(self, pattern) -> None:
-        """Declare every matrix coordinate this element may ever touch.
+    def stamp_coords(self) -> tuple[tuple[int, int], ...]:
+        """Ordered matrix coordinates this element may write.
 
-        ``pattern`` implements ``add(row, col)`` (and the convenience
-        ``add_pairwise(i, j)`` for the standard conductance block) and
-        ignores negative (ground) indices. The declaration must be the
-        *union* over all analyses and internal states — e.g. a MOSFET
-        declares both the normal and the drain/source-swapped footprint —
-        so a backend can freeze the structure once per circuit.
+        The tuple is the union over every analysis and internal state;
+        :meth:`load` and :meth:`ac_load` receive the resolved slots in
+        the same order. Ground coordinates (index ``-1``) may appear.
         """
         raise NotImplementedError(
-            f"{type(self).__name__} implements only the legacy dense "
-            "stamp API; implement stamp_pattern/stamp_values to enable "
-            "the sparse backend, or solve with backend='dense'"
+            f"{type(self).__name__} does not implement stamp_coords/load"
         )
 
-    def stamp_values(
+    def load(
         self,
-        acc,
-        residual: np.ndarray,
-        x: np.ndarray,
+        s: tuple[int, ...],
+        jac: list,
+        res: list,
+        x: list,
+        prev: list | None,
         ctx: StampContext,
     ) -> None:
         """Add the Newton Jacobian/residual contribution at ``x``.
 
-        ``acc`` implements ``add(row, col, value)`` over coordinates
-        declared by :meth:`stamp_pattern`; ``residual`` is always a dense
-        vector. For subclasses that predate the pattern/values split and
-        only override :meth:`stamp`, the base implementation routes a
-        dense accumulator through that legacy method, so such elements
-        keep working on the dense backend unchanged.
+        ``s`` holds the slots of :meth:`stamp_coords` in ``jac``; ``x``
+        and ``prev`` (the previous timepoint, ``None`` outside a
+        transient) are padded solution lists and ``res`` the padded
+        residual.
         """
-        if (
-            type(self).stamp is not Element.stamp
-            and isinstance(acc, DenseStampAccumulator)
-        ):
-            self.stamp(acc.matrix, residual, x, ctx)
-            return
         raise NotImplementedError(
-            f"{type(self).__name__} does not implement stamp_values"
+            f"{type(self).__name__} does not implement stamp_coords/load"
         )
 
-    def ac_stamp_values(
+    def ac_load(
         self,
-        g_acc,
-        c_acc,
-        rhs: np.ndarray,
-        x_op: np.ndarray,
+        s: tuple[int, ...],
+        g: list,
+        c: list,
+        rhs: list,
+        x_op: list,
         ctx: StampContext,
     ) -> None:
-        """Stamp the small-signal system linearized at ``x_op``.
+        """Add the small-signal system linearized at ``x_op``.
 
-        The AC MNA system is ``(G + j omega C) X = B``: elements add their
-        frequency-independent conductances to ``g_acc`` (``G``), the
-        omega-proportional part to ``c_acc`` (``C``) and their AC
-        excitation phasor to the complex ``rhs`` (``B``). Nonlinear devices
-        stamp the conductances of their linearization at the DC operating
-        point ``x_op``. Legacy subclasses overriding only
-        :meth:`ac_stamp` are routed through it on the dense backend.
+        The AC MNA system is ``(G + j omega C) X = B``: an element adds
+        its frequency-independent conductances to ``g`` (``G``), the
+        omega-proportional part to ``c`` (``C``), both by slot, and its
+        AC excitation phasor to the padded complex ``rhs`` (``B``).
+        Nonlinear devices load the conductances of their linearization
+        at the DC operating point ``x_op``.
         """
-        if (
-            type(self).ac_stamp is not Element.ac_stamp
-            and isinstance(g_acc, DenseStampAccumulator)
-            and isinstance(c_acc, DenseStampAccumulator)
-        ):
-            self.ac_stamp(g_acc.matrix, c_acc.matrix, rhs, x_op, ctx)
-            return
         raise NotImplementedError(
             f"{type(self).__name__} does not support AC small-signal analysis"
         )
 
-    # ------------------------------------------------------------------
-    def stamp(
-        self,
-        jacobian: np.ndarray,
-        residual: np.ndarray,
-        x: np.ndarray,
-        ctx: StampContext,
-    ) -> None:
-        """Dense-matrix shim over :meth:`stamp_values`."""
-        self.stamp_values(DenseStampAccumulator(jacobian), residual, x, ctx)
-
-    def ac_stamp(
-        self,
-        conductance: np.ndarray,
-        susceptance: np.ndarray,
-        rhs: np.ndarray,
-        x_op: np.ndarray,
-        ctx: StampContext,
-    ) -> None:
-        """Dense-matrix shim over :meth:`ac_stamp_values`."""
-        self.ac_stamp_values(
-            DenseStampAccumulator(conductance),
-            DenseStampAccumulator(susceptance),
-            rhs,
-            x_op,
-            ctx,
-        )
-
     def update_state(self, x: np.ndarray, ctx: StampContext) -> None:
-        """Hook called after a transient step is accepted."""
+        """Hook called after a transient step is accepted.
+
+        ``x`` and ``ctx.x_prev`` are the unpadded solution arrays.
+        """
 
     def validate(self, system_size: int) -> None:
         """Sanity check after elaboration."""
@@ -245,15 +206,10 @@ class Element:
         """One-line SPICE-style netlist card."""
         return f"* {self.name} {' '.join(self.nodes)}"
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _v(x: np.ndarray, idx: int) -> float:
-        return 0.0 if idx < 0 else float(x[idx])
 
-    @staticmethod
-    def _add(vec: np.ndarray, idx: int, value: float) -> None:
-        if idx >= 0:
-            vec[idx] += value
+def _pairwise(i: int, j: int) -> tuple[tuple[int, int], ...]:
+    """The standard two-terminal conductance block, in load order."""
+    return ((i, i), (i, j), (j, i), (j, j))
 
 
 # ----------------------------------------------------------------------
@@ -335,28 +291,26 @@ class Resistor(Element):
         super().__init__(name, (n1, n2))
         self.resistance = float(resistance)
 
-    def stamp_pattern(self, pattern):
-        i1, i2 = self.node_indices
-        pattern.add_pairwise(i1, i2)
+    def stamp_coords(self):
+        return _pairwise(*self.node_indices)
 
-    def stamp_values(self, acc, residual, x, ctx):
+    def load(self, s, jac, res, x, prev, ctx):
         i1, i2 = self.node_indices
         g = 1.0 / self.resistance
-        current = g * (self._v(x, i1) - self._v(x, i2))
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
-        acc.add(i1, i1, g)
-        acc.add(i1, i2, -g)
-        acc.add(i2, i1, -g)
-        acc.add(i2, i2, g)
+        current = g * (x[i1] - x[i2])
+        res[i1] += current
+        res[i2] -= current
+        jac[s[0]] += g
+        jac[s[1]] -= g
+        jac[s[2]] -= g
+        jac[s[3]] += g
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
-        i1, i2 = self.node_indices
-        g = 1.0 / self.resistance
-        g_acc.add(i1, i1, g)
-        g_acc.add(i1, i2, -g)
-        g_acc.add(i2, i1, -g)
-        g_acc.add(i2, i2, g)
+    def ac_load(self, s, g, c, rhs, x_op, ctx):
+        conductance = 1.0 / self.resistance
+        g[s[0]] += conductance
+        g[s[1]] -= conductance
+        g[s[2]] -= conductance
+        g[s[3]] += conductance
 
     def card(self):
         return f"{self.name} {self.nodes[0]} {self.nodes[1]} {self.resistance:g}"
@@ -371,19 +325,15 @@ class Capacitor(Element):
         super().__init__(name, (n1, n2))
         self.capacitance = float(capacitance)
 
-    def _voltage(self, x, i1, i2) -> float:
-        return self._v(x, i1) - self._v(x, i2)
+    def stamp_coords(self):
+        return _pairwise(*self.node_indices)
 
-    def stamp_pattern(self, pattern):
-        i1, i2 = self.node_indices
-        pattern.add_pairwise(i1, i2)
-
-    def stamp_values(self, acc, residual, x, ctx):
+    def load(self, s, jac, res, x, prev, ctx):
         if ctx.mode == "dc":
             return
         i1, i2 = self.node_indices
-        v_now = self._voltage(x, i1, i2)
-        v_prev = self._voltage(ctx.x_prev, i1, i2)
+        v_now = x[i1] - x[i2]
+        v_prev = prev[i1] - prev[i2]
         if ctx.method == "trap":
             geq = 2.0 * self.capacitance / ctx.dt
             i_prev = ctx.states.get(self.name, 0.0)
@@ -391,17 +341,17 @@ class Capacitor(Element):
         else:  # backward Euler
             geq = self.capacitance / ctx.dt
             current = geq * (v_now - v_prev)
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
-        acc.add(i1, i1, geq)
-        acc.add(i1, i2, -geq)
-        acc.add(i2, i1, -geq)
-        acc.add(i2, i2, geq)
+        res[i1] += current
+        res[i2] -= current
+        jac[s[0]] += geq
+        jac[s[1]] -= geq
+        jac[s[2]] -= geq
+        jac[s[3]] += geq
 
     def update_state(self, x, ctx):
         i1, i2 = self.node_indices
-        v_now = self._voltage(x, i1, i2)
-        v_prev = self._voltage(ctx.x_prev, i1, i2)
+        v_now = _across(x, i1, i2)
+        v_prev = _across(ctx.x_prev, i1, i2)
         if ctx.method == "trap":
             geq = 2.0 * self.capacitance / ctx.dt
             i_prev = ctx.states.get(self.name, 0.0)
@@ -411,14 +361,13 @@ class Capacitor(Element):
                 self.capacitance / ctx.dt * (v_now - v_prev)
             )
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
+    def ac_load(self, s, g, c, rhs, x_op, ctx):
         # Admittance j omega C: pure susceptance.
-        i1, i2 = self.node_indices
-        c = self.capacitance
-        c_acc.add(i1, i1, c)
-        c_acc.add(i1, i2, -c)
-        c_acc.add(i2, i1, -c)
-        c_acc.add(i2, i2, c)
+        capacitance = self.capacitance
+        c[s[0]] += capacitance
+        c[s[1]] -= capacitance
+        c[s[2]] -= capacitance
+        c[s[3]] += capacitance
 
     def card(self):
         return f"{self.name} {self.nodes[0]} {self.nodes[1]} {self.capacitance:g}"
@@ -435,51 +384,45 @@ class Inductor(Element):
         super().__init__(name, (n1, n2))
         self.inductance = float(inductance)
 
-    def stamp_pattern(self, pattern):
+    def stamp_coords(self):
         i1, i2 = self.node_indices
         bi = self.branch_index
-        pattern.add(i1, bi)
-        pattern.add(i2, bi)
-        pattern.add(bi, i1)
-        pattern.add(bi, i2)
-        pattern.add(bi, bi)
+        return ((i1, bi), (i2, bi), (bi, i1), (bi, i2), (bi, bi))
 
-    def stamp_values(self, acc, residual, x, ctx):
+    def load(self, s, jac, res, x, prev, ctx):
         i1, i2 = self.node_indices
         bi = self.branch_index
-        current = float(x[bi])
+        current = x[bi]
         # KCL: branch current leaves n1, enters n2.
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
-        acc.add(i1, bi, 1.0)
-        acc.add(i2, bi, -1.0)
-        v_now = self._v(x, i1) - self._v(x, i2)
+        res[i1] += current
+        res[i2] -= current
+        jac[s[0]] += 1.0
+        jac[s[1]] -= 1.0
+        v_now = x[i1] - x[i2]
         if ctx.mode == "dc":
-            residual[bi] += v_now  # v = 0 (DC short)
-            acc.add(bi, i1, 1.0)
-            acc.add(bi, i2, -1.0)
+            res[bi] += v_now  # v = 0 (DC short)
+            jac[s[2]] += 1.0
+            jac[s[3]] -= 1.0
             return
-        i_prev = float(ctx.x_prev[bi])
+        i_prev = prev[bi]
         if ctx.method == "trap":
-            v_prev = self._v(ctx.x_prev, i1) - self._v(ctx.x_prev, i2)
+            v_prev = prev[i1] - prev[i2]
             req = 2.0 * self.inductance / ctx.dt
-            residual[bi] += v_now + v_prev - req * (current - i_prev)
+            res[bi] += v_now + v_prev - req * (current - i_prev)
         else:
             req = self.inductance / ctx.dt
-            residual[bi] += v_now - req * (current - i_prev)
-        acc.add(bi, i1, 1.0)
-        acc.add(bi, i2, -1.0)
-        acc.add(bi, bi, -req)
+            res[bi] += v_now - req * (current - i_prev)
+        jac[s[2]] += 1.0
+        jac[s[3]] -= 1.0
+        jac[s[4]] -= req
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
+    def ac_load(self, s, g, c, rhs, x_op, ctx):
         # Branch equation v1 - v2 - j omega L i = 0.
-        i1, i2 = self.node_indices
-        bi = self.branch_index
-        g_acc.add(i1, bi, 1.0)
-        g_acc.add(i2, bi, -1.0)
-        g_acc.add(bi, i1, 1.0)
-        g_acc.add(bi, i2, -1.0)
-        c_acc.add(bi, bi, -self.inductance)
+        g[s[0]] += 1.0
+        g[s[1]] -= 1.0
+        g[s[2]] += 1.0
+        g[s[3]] -= 1.0
+        c[s[4]] -= self.inductance
 
     def card(self):
         return f"{self.name} {self.nodes[0]} {self.nodes[1]} {self.inductance:g}"
@@ -518,34 +461,29 @@ class VoltageSource(Element):
             return float(self.waveform(0.0))
         return self.dc
 
-    def stamp_pattern(self, pattern):
+    def stamp_coords(self):
         i1, i2 = self.node_indices
         bi = self.branch_index
-        pattern.add(i1, bi)
-        pattern.add(i2, bi)
-        pattern.add(bi, i1)
-        pattern.add(bi, i2)
+        return ((i1, bi), (i2, bi), (bi, i1), (bi, i2))
 
-    def stamp_values(self, acc, residual, x, ctx):
+    def load(self, s, jac, res, x, prev, ctx):
         i1, i2 = self.node_indices
         bi = self.branch_index
-        current = float(x[bi])
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
-        acc.add(i1, bi, 1.0)
-        acc.add(i2, bi, -1.0)
-        residual[bi] += self._v(x, i1) - self._v(x, i2) - self.value(ctx)
-        acc.add(bi, i1, 1.0)
-        acc.add(bi, i2, -1.0)
+        current = x[bi]
+        res[i1] += current
+        res[i2] -= current
+        jac[s[0]] += 1.0
+        jac[s[1]] -= 1.0
+        res[bi] += x[i1] - x[i2] - self.value(ctx)
+        jac[s[2]] += 1.0
+        jac[s[3]] -= 1.0
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
-        i1, i2 = self.node_indices
-        bi = self.branch_index
-        g_acc.add(i1, bi, 1.0)
-        g_acc.add(i2, bi, -1.0)
-        g_acc.add(bi, i1, 1.0)
-        g_acc.add(bi, i2, -1.0)
-        rhs[bi] += self.ac_value
+    def ac_load(self, s, g, c, rhs, x_op, ctx):
+        g[s[0]] += 1.0
+        g[s[1]] -= 1.0
+        g[s[2]] += 1.0
+        g[s[3]] -= 1.0
+        rhs[self.branch_index] += self.ac_value
 
     def card(self):
         return f"{self.name} {self.nodes[0]} {self.nodes[1]} DC {self.dc:g}"
@@ -577,22 +515,22 @@ class CurrentSource(Element):
             return float(self.waveform(t))
         return self.dc
 
-    def stamp_pattern(self, pattern):
-        pass  # pure source: residual/rhs only, no matrix entries
+    def stamp_coords(self):
+        return ()  # pure source: residual/rhs only, no matrix entries
 
-    def stamp_values(self, acc, residual, x, ctx):
+    def load(self, s, jac, res, x, prev, ctx):
         i1, i2 = self.node_indices
         current = self.value(ctx)
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
+        res[i1] += current
+        res[i2] -= current
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
+    def ac_load(self, s, g, c, rhs, x_op, ctx):
         # KCL convention: residual accumulates current leaving the node,
         # so the source phasor enters the rhs with the opposite sign.
         i1, i2 = self.node_indices
         value = self.ac_value
-        self._add(rhs, i1, -value)
-        self._add(rhs, i2, value)
+        rhs[i1] -= value
+        rhs[i2] += value
 
     def card(self):
         return f"{self.name} {self.nodes[0]} {self.nodes[1]} DC {self.dc:g}"
@@ -608,42 +546,32 @@ class VCVS(Element):
         super().__init__(name, (n_pos, n_neg, ctrl_pos, ctrl_neg))
         self.gain = float(gain)
 
-    def stamp_pattern(self, pattern):
+    def stamp_coords(self):
         i1, i2, c1, c2 = self.node_indices
         bi = self.branch_index
-        pattern.add(i1, bi)
-        pattern.add(i2, bi)
-        pattern.add(bi, i1)
-        pattern.add(bi, i2)
-        pattern.add(bi, c1)
-        pattern.add(bi, c2)
+        return ((i1, bi), (i2, bi), (bi, i1), (bi, i2), (bi, c1), (bi, c2))
 
-    def stamp_values(self, acc, residual, x, ctx):
+    def load(self, s, jac, res, x, prev, ctx):
         i1, i2, c1, c2 = self.node_indices
         bi = self.branch_index
-        current = float(x[bi])
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
-        acc.add(i1, bi, 1.0)
-        acc.add(i2, bi, -1.0)
-        residual[bi] += (
-            self._v(x, i1) - self._v(x, i2)
-            - self.gain * (self._v(x, c1) - self._v(x, c2))
-        )
-        acc.add(bi, i1, 1.0)
-        acc.add(bi, i2, -1.0)
-        acc.add(bi, c1, -self.gain)
-        acc.add(bi, c2, self.gain)
+        current = x[bi]
+        res[i1] += current
+        res[i2] -= current
+        jac[s[0]] += 1.0
+        jac[s[1]] -= 1.0
+        res[bi] += x[i1] - x[i2] - self.gain * (x[c1] - x[c2])
+        jac[s[2]] += 1.0
+        jac[s[3]] -= 1.0
+        jac[s[4]] -= self.gain
+        jac[s[5]] += self.gain
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
-        i1, i2, c1, c2 = self.node_indices
-        bi = self.branch_index
-        g_acc.add(i1, bi, 1.0)
-        g_acc.add(i2, bi, -1.0)
-        g_acc.add(bi, i1, 1.0)
-        g_acc.add(bi, i2, -1.0)
-        g_acc.add(bi, c1, -self.gain)
-        g_acc.add(bi, c2, self.gain)
+    def ac_load(self, s, g, c, rhs, x_op, ctx):
+        g[s[0]] += 1.0
+        g[s[1]] -= 1.0
+        g[s[2]] += 1.0
+        g[s[3]] -= 1.0
+        g[s[4]] -= self.gain
+        g[s[5]] += self.gain
 
     def card(self):
         return f"{self.name} {' '.join(self.nodes)} {self.gain:g}"
@@ -657,31 +585,27 @@ class VCCS(Element):
         super().__init__(name, (n_pos, n_neg, ctrl_pos, ctrl_neg))
         self.transconductance = float(transconductance)
 
-    def stamp_pattern(self, pattern):
+    def stamp_coords(self):
         i1, i2, c1, c2 = self.node_indices
-        pattern.add(i1, c1)
-        pattern.add(i1, c2)
-        pattern.add(i2, c1)
-        pattern.add(i2, c2)
+        return ((i1, c1), (i1, c2), (i2, c1), (i2, c2))
 
-    def stamp_values(self, acc, residual, x, ctx):
+    def load(self, s, jac, res, x, prev, ctx):
         i1, i2, c1, c2 = self.node_indices
         gm = self.transconductance
-        current = gm * (self._v(x, c1) - self._v(x, c2))
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
-        acc.add(i1, c1, gm)
-        acc.add(i1, c2, -gm)
-        acc.add(i2, c1, -gm)
-        acc.add(i2, c2, gm)
+        current = gm * (x[c1] - x[c2])
+        res[i1] += current
+        res[i2] -= current
+        jac[s[0]] += gm
+        jac[s[1]] -= gm
+        jac[s[2]] -= gm
+        jac[s[3]] += gm
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
-        i1, i2, c1, c2 = self.node_indices
+    def ac_load(self, s, g, c, rhs, x_op, ctx):
         gm = self.transconductance
-        g_acc.add(i1, c1, gm)
-        g_acc.add(i1, c2, -gm)
-        g_acc.add(i2, c1, -gm)
-        g_acc.add(i2, c2, gm)
+        g[s[0]] += gm
+        g[s[1]] -= gm
+        g[s[2]] -= gm
+        g[s[3]] += gm
 
     def card(self):
         return f"{self.name} {' '.join(self.nodes)} {self.transconductance:g}"
@@ -710,33 +634,31 @@ class Diode(Element):
         conductance = self.saturation_current * derivative / nvt
         return current, conductance
 
-    def stamp_pattern(self, pattern):
-        i1, i2 = self.node_indices
-        pattern.add_pairwise(i1, i2)
+    def stamp_coords(self):
+        return _pairwise(*self.node_indices)
 
-    def stamp_values(self, acc, residual, x, ctx):
+    def load(self, s, jac, res, x, prev, ctx):
         i1, i2 = self.node_indices
-        v = self._v(x, i1) - self._v(x, i2)
+        v = x[i1] - x[i2]
         current, g = self.current_and_conductance(v)
         g += ctx.gmin
         current += ctx.gmin * v
-        self._add(residual, i1, current)
-        self._add(residual, i2, -current)
-        acc.add(i1, i1, g)
-        acc.add(i1, i2, -g)
-        acc.add(i2, i1, -g)
-        acc.add(i2, i2, g)
+        res[i1] += current
+        res[i2] -= current
+        jac[s[0]] += g
+        jac[s[1]] -= g
+        jac[s[2]] -= g
+        jac[s[3]] += g
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
+    def ac_load(self, s, g, c, rhs, x_op, ctx):
         # Small-signal junction conductance at the DC operating point.
         i1, i2 = self.node_indices
-        v = self._v(x_op, i1) - self._v(x_op, i2)
-        _, g = self.current_and_conductance(v)
-        g += ctx.gmin
-        g_acc.add(i1, i1, g)
-        g_acc.add(i1, i2, -g)
-        g_acc.add(i2, i1, -g)
-        g_acc.add(i2, i2, g)
+        _, conductance = self.current_and_conductance(x_op[i1] - x_op[i2])
+        conductance += ctx.gmin
+        g[s[0]] += conductance
+        g[s[1]] -= conductance
+        g[s[2]] -= conductance
+        g[s[3]] += conductance
 
     def card(self):
         return (
@@ -785,7 +707,7 @@ class MOSFET(Element):
 
     def _ids(self, vgs: float, vds: float) -> tuple[float, float, float]:
         """Square-law drain current and (gm, gds) for vds >= 0 (NMOS frame)."""
-        vov = vgs - abs(self.vth) if self.polarity == "nmos" else vgs - abs(self.vth)
+        vov = vgs - abs(self.vth)
         lam = self.lambda_
         if vov <= 0.0:
             return 0.0, 0.0, 0.0
@@ -804,17 +726,17 @@ class MOSFET(Element):
 
     def operating_point(self, x: np.ndarray) -> dict:
         """Named small-signal quantities at the solution ``x``."""
-        ids, gm, gds, _ = self._evaluate(x)
+        ids, gm, gds, _ = self._evaluate(padded(x))
         return {"ids": ids, "gm": gm, "gds": gds}
 
-    def _evaluate(self, x) -> tuple[float, float, float, bool]:
-        """Drain current (drain->source positive) in circuit frame.
+    def _evaluate(self, x: list) -> tuple[float, float, float, bool]:
+        """Drain current (drain->source positive) at the padded ``x``.
 
         Returns ``(id, gm, gds, swapped)`` where the derivatives are with
         respect to the *effective* (possibly swapped) terminals.
         """
         d, g, s = self.node_indices
-        vd, vg, vs = self._v(x, d), self._v(x, g), self._v(x, s)
+        vd, vg, vs = x[d], x[g], x[s]
         if self.polarity == "pmos":
             # Analyze the PMOS in the NMOS frame by mirroring voltages.
             vd, vg, vs = -vd, -vg, -vs
@@ -825,15 +747,25 @@ class MOSFET(Element):
         ids, gm, gds = self._ids(vgs, vds)
         return ids, gm, gds, swapped
 
-    def stamp_pattern(self, pattern):
-        # Union over the normal and drain/source-swapped footprints: the
-        # effective drain/source roles may flip between Newton iterations.
-        d_idx, g_idx, s_idx = self.node_indices
-        pattern.add(d_idx, g_idx)
-        pattern.add(s_idx, g_idx)
-        pattern.add_pairwise(d_idx, s_idx)
+    def stamp_coords(self):
+        # Union over the normal and drain/source-swapped footprints (the
+        # same six coordinates): the effective drain/source roles may flip
+        # between Newton iterations. The gmin block is a subset.
+        d, g, s = self.node_indices
+        return ((d, g), (d, d), (d, s), (s, g), (s, d), (s, s))
 
-    def stamp_values(self, acc, residual, x, ctx):
+    @staticmethod
+    def _effective_slots(s, swapped):
+        """Slots of the gm/gds block in effective-terminal load order.
+
+        The order is ``(eff_d, g), (eff_d, eff_d), (eff_d, eff_s),
+        (eff_s, g), (eff_s, eff_d), (eff_s, eff_s)``.
+        """
+        if swapped:
+            return s[3], s[5], s[4], s[0], s[2], s[1]
+        return s[0], s[1], s[2], s[3], s[4], s[5]
+
+    def load(self, s, jac, res, x, prev, ctx):
         d_idx, g_idx, s_idx = self.node_indices
         ids, gm, gds, swapped = self._evaluate(x)
         sign = -1.0 if self.polarity == "pmos" else 1.0
@@ -843,51 +775,47 @@ class MOSFET(Element):
             eff_d, eff_s = d_idx, s_idx
         current = sign * ids
         # KCL: current flows from effective drain to effective source.
-        self._add(residual, eff_d, current)
-        self._add(residual, eff_s, -current)
+        res[eff_d] += current
+        res[eff_s] -= current
         # In the mirrored/swapped frame, d(current)/d(node voltage) picks
         # up the same sign twice (once for the current sign, once for the
         # mirrored voltages), so the conductances stamp positively.
-        acc.add(eff_d, g_idx, gm)
-        acc.add(eff_d, eff_d, gds)
-        acc.add(eff_d, eff_s, -(gm + gds))
-        acc.add(eff_s, g_idx, -gm)
-        acc.add(eff_s, eff_d, -gds)
-        acc.add(eff_s, eff_s, gm + gds)
+        dg, dd, ds, sg, sd, ss = self._effective_slots(s, swapped)
+        jac[dg] += gm
+        jac[dd] += gds
+        jac[ds] -= gm + gds
+        jac[sg] -= gm
+        jac[sd] -= gds
+        jac[ss] += gm + gds
         # gmin across drain-source for convergence
-        v_ds_real = self._v(x, d_idx) - self._v(x, s_idx)
-        leak = ctx.gmin * v_ds_real
-        self._add(residual, d_idx, leak)
-        self._add(residual, s_idx, -leak)
-        acc.add(d_idx, d_idx, ctx.gmin)
-        acc.add(d_idx, s_idx, -ctx.gmin)
-        acc.add(s_idx, d_idx, -ctx.gmin)
-        acc.add(s_idx, s_idx, ctx.gmin)
+        leak = ctx.gmin * (x[d_idx] - x[s_idx])
+        res[d_idx] += leak
+        res[s_idx] -= leak
+        jac[s[1]] += ctx.gmin
+        jac[s[2]] -= ctx.gmin
+        jac[s[4]] -= ctx.gmin
+        jac[s[5]] += ctx.gmin
 
-    def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
-        """Small-signal gm/gds stamps at the DC operating point.
+    def ac_load(self, s, g, c, rhs, x_op, ctx):
+        """Small-signal gm/gds at the DC operating point.
 
-        The conductance pattern matches the DC Jacobian of
-        :meth:`stamp_values` evaluated at ``x_op`` — that Jacobian *is*
-        the device linearization (the level-1 model carries no charge
-        storage, so the susceptance contribution is zero).
+        The conductances match the DC Jacobian of :meth:`load` evaluated
+        at ``x_op`` — that Jacobian *is* the device linearization (the
+        level-1 model carries no charge storage, so the susceptance
+        contribution is zero).
         """
-        d_idx, g_idx, s_idx = self.node_indices
         _, gm, gds, swapped = self._evaluate(x_op)
-        if swapped:
-            eff_d, eff_s = s_idx, d_idx
-        else:
-            eff_d, eff_s = d_idx, s_idx
-        g_acc.add(eff_d, g_idx, gm)
-        g_acc.add(eff_d, eff_d, gds)
-        g_acc.add(eff_d, eff_s, -(gm + gds))
-        g_acc.add(eff_s, g_idx, -gm)
-        g_acc.add(eff_s, eff_d, -gds)
-        g_acc.add(eff_s, eff_s, gm + gds)
-        g_acc.add(d_idx, d_idx, ctx.gmin)
-        g_acc.add(d_idx, s_idx, -ctx.gmin)
-        g_acc.add(s_idx, d_idx, -ctx.gmin)
-        g_acc.add(s_idx, s_idx, ctx.gmin)
+        dg, dd, ds, sg, sd, ss = self._effective_slots(s, swapped)
+        g[dg] += gm
+        g[dd] += gds
+        g[ds] -= gm + gds
+        g[sg] -= gm
+        g[sd] -= gds
+        g[ss] += gm + gds
+        g[s[1]] += ctx.gmin
+        g[s[2]] -= ctx.gmin
+        g[s[4]] -= ctx.gmin
+        g[s[5]] += ctx.gmin
 
     def card(self):
         return (

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..obs import span
 from .backend import resolve_backend
 from .dc import ConvergenceError, solve_dc
-from .elements import StampContext
+from .elements import Element, StampContext
 from .netlist import Circuit
 from .waveform import Waveform
 
@@ -61,21 +62,22 @@ def _solve_timepoint(
     max_iterations: int,
     abstol: float,
     reltol: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
+    """Damped Newton at one timepoint; returns the solution and iterations."""
     x = x_guess.copy()
-    for _ in range(max_iterations):
+    for iteration in range(1, max_iterations + 1):
         try:
             delta = solver.solve_newton(x, ctx)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"{circuit.name}: singular Jacobian at t={ctx.time:.4g}s"
             ) from exc
-        step = float(np.max(np.abs(delta)))
+        step = float(np.abs(delta).max())
         if step > 1.0:
             delta *= 1.0 / step
         x = x + delta
-        if step < abstol + reltol * float(np.max(np.abs(x))):
-            return x
+        if step < abstol + reltol * float(np.abs(x).max()):
+            return x, iteration
     raise ConvergenceError(
         f"{circuit.name}: timepoint t={ctx.time:.4g}s did not converge"
     )
@@ -122,35 +124,50 @@ def simulate_transient(
     -------
     TransientResult
         States at ``t_start, t_start + dt, ..., >= t_stop``.
+
+    The run is one ``spice.transient`` span carrying ``backend``, ``n``
+    (unknowns), ``timepoints`` and ``newton_iters`` (summed over the
+    timepoints; the initial operating point has its own ``spice.dc``
+    span).
     """
     if t_stop <= t_start:
         raise ValueError("t_stop must exceed t_start")
     if dt <= 0:
         raise ValueError("dt must be positive")
     circuit._elaborate_if_needed()
-    solver = resolve_backend(circuit, backend)
-    if x0 is not None:
-        x = np.asarray(x0, dtype=float).copy()
-    elif use_ic:
-        x = np.zeros(circuit.size)
-    else:
-        x = solve_dc(circuit, gmin=gmin, backend=solver).x
-    # tolerate float ratios a hair above an integer (e.g. 1e-3 / 1e-6)
-    n_steps = max(1, int(np.ceil((t_stop - t_start) / dt - 1e-9)))
-    times = t_start + dt * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, circuit.size))
-    states[0] = x
+    with span("spice.transient") as analysis:
+        solver = resolve_backend(circuit, backend)
+        analysis.set(backend=solver.name, n=circuit.size)
+        if x0 is not None:
+            x = np.asarray(x0, dtype=float).copy()
+        elif use_ic:
+            x = np.zeros(circuit.size)
+        else:
+            x = solve_dc(circuit, gmin=gmin, backend=solver).x
+        # tolerate float ratios a hair above an integer (e.g. 1e-3 / 1e-6)
+        n_steps = max(1, int(np.ceil((t_stop - t_start) / dt - 1e-9)))
+        times = t_start + dt * np.arange(n_steps + 1)
+        states = np.empty((n_steps + 1, circuit.size))
+        states[0] = x
 
-    ctx = StampContext(mode="tran", dt=dt, gmin=gmin)
-    for k in range(1, n_steps + 1):
-        ctx.time = float(times[k])
-        ctx.x_prev = states[k - 1]
-        ctx.method = "be" if k == 1 else "trap"
-        x = _solve_timepoint(
-            circuit, solver, states[k - 1], ctx, max_iterations, abstol,
-            reltol
-        )
-        states[k] = x
-        for element in circuit.elements:
-            element.update_state(x, ctx)
+        stateful = [
+            element
+            for element in circuit.elements
+            if type(element).update_state is not Element.update_state
+        ]
+        newton_iters = 0
+        ctx = StampContext(mode="tran", dt=dt, gmin=gmin)
+        for k in range(1, n_steps + 1):
+            ctx.time = float(times[k])
+            ctx.x_prev = states[k - 1]
+            ctx.method = "be" if k == 1 else "trap"
+            x, iterations = _solve_timepoint(
+                circuit, solver, states[k - 1], ctx, max_iterations, abstol,
+                reltol
+            )
+            newton_iters += iterations
+            states[k] = x
+            for element in stateful:
+                element.update_state(x, ctx)
+        analysis.set(timepoints=n_steps, newton_iters=newton_iters)
     return TransientResult(circuit, times, states)

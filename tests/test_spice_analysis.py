@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs import MemorySink, tracing
 from repro.spice import (
     MOSFET,
     VCCS,
@@ -11,12 +12,14 @@ from repro.spice import (
     Circuit,
     ConvergenceError,
     CurrentSource,
+    DenseBackend,
     Diode,
     Inductor,
     Resistor,
     SineWave,
     VoltageSource,
     simulate_transient,
+    solve_ac,
     solve_dc,
 )
 
@@ -225,3 +228,40 @@ class TestTransient:
         with pytest.raises(TypeError):
             result.current("R1")
         assert result.current("V1").values.shape == result.times.shape
+
+
+class TestAnalysisSpans:
+    def test_one_span_per_analysis_call_with_its_counts(self):
+        c = Circuit("rc")
+        c.add(VoltageSource("V1", "in", "0", dc=1.0, ac=1.0))
+        c.add(Resistor("R1", "in", "out", 1e3))
+        c.add(Capacitor("C1", "out", "0", 1e-9))
+        solver = DenseBackend(c)
+        modes = []
+        solve_newton = solver.solve_newton
+
+        def counting(x, ctx):
+            modes.append(ctx.mode)
+            return solve_newton(x, ctx)
+
+        solver.solve_newton = counting
+        sink = MemorySink()
+        with tracing(sink):
+            simulate_transient(c, t_stop=1e-6, dt=1e-8, backend=solver)
+            solve_ac(c, 1e3, 1e6, n_points=7, backend=solver)
+        tran_dc, tran, ac_dc, ac = sink.records  # children emit first
+        assert [tran_dc["name"], tran["name"], ac_dc["name"], ac["name"]] == [
+            "spice.dc", "spice.transient", "spice.dc", "spice.ac"
+        ]
+        assert tran_dc["parent_id"] == tran["span_id"]
+        assert ac_dc["parent_id"] == ac["span_id"]
+        assert tran["attrs"] == {
+            "backend": "dense", "n": c.size, "timepoints": 100,
+            "newton_iters": modes.count("tran"),
+        }
+        dc_iters = tran_dc["attrs"]["newton_iters"] + ac_dc["attrs"]["newton_iters"]
+        assert dc_iters == modes.count("dc")
+        assert ac["attrs"] == {
+            "backend": "dense", "n": c.size, "frequencies": 7,
+            "newton_iters": ac_dc["attrs"]["newton_iters"],
+        }

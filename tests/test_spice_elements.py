@@ -24,13 +24,20 @@ from repro.spice import (
     StampContext,
     VoltageSource,
 )
+from repro.spice.elements import padded
 
 
 def assemble(element, x, ctx, n):
-    jacobian = np.zeros((n, n))
-    residual = np.zeros(n)
-    element.stamp(jacobian, residual, x, ctx)
-    return jacobian, residual
+    """Dense ``(J, r)`` of one element through its declared slots."""
+    slots = tuple(
+        row * n + col if row >= 0 and col >= 0 else n * n
+        for row, col in element.stamp_coords()
+    )
+    jacobian = [0.0] * (n * n + 1)
+    residual = [0.0] * (n + 1)
+    prev = None if ctx.x_prev is None else padded(ctx.x_prev)
+    element.load(slots, jacobian, residual, padded(x), prev, ctx)
+    return np.array(jacobian[:-1]).reshape(n, n), np.array(residual[:-1])
 
 
 def check_jacobian_consistency(element, x, ctx, n, eps=1e-7):
