@@ -11,8 +11,10 @@ Four acts, all against one run vault:
 3. **Kill and resume** — a client abandons a run mid-flight (as if the
    machine died); a second client re-attaches and the vault replays
    every acknowledged evaluation before continuing, point-for-point.
-4. **Query** — list runs, pull posterior predictions (served from the
-   LRU posterior cache; the second call is a hit), inspect cache stats.
+4. **Query** — list runs, pull posterior predictions (random search
+   has no surrogate of its own, so they come from the LRU posterior
+   cache; an MFBO run would serve its own; the second call is a hit),
+   inspect cache stats.
 
 Run:  python examples/service.py
 """

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 __all__ = [
     "expected_improvement",
@@ -35,6 +35,18 @@ __all__ = [
 Predictor = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 _MIN_STD = 1e-12
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+#: Standard normal CDF, bit for bit ``scipy.stats.norm.cdf`` without its
+#: generic argument handling, which dominates on the small arrays the
+#: acquisition search evaluates thousands of times per run (and without
+#: importing ``scipy.stats`` at all).
+norm_cdf = ndtr
+
+
+def norm_pdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal density, bit for bit ``scipy.stats.norm.pdf``."""
+    return np.exp(-(x**2) / 2.0) / _SQRT_2PI
 
 
 def expected_improvement(
@@ -49,7 +61,7 @@ def expected_improvement(
     sigma = np.sqrt(np.maximum(np.asarray(var, dtype=float), 0.0))
     sigma = np.maximum(sigma, _MIN_STD)
     lam = (tau - mu) / sigma
-    return sigma * (lam * norm.cdf(lam) + norm.pdf(lam))
+    return sigma * (lam * norm_cdf(lam) + norm_pdf(lam))
 
 
 def probability_of_improvement(
@@ -58,14 +70,14 @@ def probability_of_improvement(
     """PI over the incumbent ``tau`` for a minimization problem."""
     mu = np.asarray(mu, dtype=float)
     sigma = np.maximum(np.sqrt(np.maximum(var, 0.0)), _MIN_STD)
-    return norm.cdf((tau - mu) / sigma)
+    return norm_cdf((tau - mu) / sigma)
 
 
 def probability_of_feasibility(mu: np.ndarray, var: np.ndarray) -> np.ndarray:
     """``PF(x) = Phi(-mu / sigma)`` for a constraint ``c(x) < 0`` (eq. 6)."""
     mu = np.asarray(mu, dtype=float)
     sigma = np.maximum(np.sqrt(np.maximum(var, 0.0)), _MIN_STD)
-    return norm.cdf(-mu / sigma)
+    return norm_cdf(-mu / sigma)
 
 
 def lower_confidence_bound(

@@ -140,6 +140,15 @@ class History:
         ) if records[0].evaluation.constraints.size else np.empty((len(records), 0))
         return x, y, constraints
 
+    def outputs(self, fidelity: str) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Training inputs and one target per output at one fidelity.
+
+        The targets are the objective followed by each constraint
+        column — the output order of every per-output surrogate.
+        """
+        x, y, constraints = self.data(fidelity)
+        return x, [y] + [constraints[:, i] for i in range(constraints.shape[1])]
+
     @property
     def total_cost(self) -> float:
         """Accumulated cost in equivalent high-fidelity simulations."""

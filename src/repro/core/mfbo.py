@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import copy
 import time
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from ..design.sampling import maximin_latin_hypercube
 from ..gp.gpr import GPR
 from ..mf.ar1 import AR1
 from ..mf.nargp import NARGP
+from ..mf.pairs import fit_output_pairs
 from ..optim.msp import MSPOptimizer
 from ..problems.base import FIDELITY_HIGH, FIDELITY_LOW, Problem
 from ..session.protocol import Suggestion
@@ -53,6 +54,15 @@ from .history import History
 from .strategy import StrategyBase
 
 __all__ = ["MFBOptimizer"]
+
+
+class _AheadFit(NamedTuple):
+    """A surrogate fitted before the refill that will adopt it."""
+
+    key: tuple[int, int]  # (history length, refill iteration)
+    models: tuple[list[GPR], list]
+    gp_rng: np.random.Generator  # the "gp" stream as the fit left it
+    seconds: float
 
 
 class MFBOptimizer(StrategyBase):
@@ -201,8 +211,10 @@ class MFBOptimizer(StrategyBase):
             ball_stddev=ball_stddev,
             rng=self._rng_streams["acq"],
         )
-        self._low_models: list[GPR] | None = None
-        self._fused_models: list | None = None
+        # The live surrogate, (low_models, fused_models), as adopted by
+        # the last refill; the next incremental update starts from it.
+        self._models: tuple[list[GPR], list] | None = None
+        self._ahead: _AheadFit | None = None
 
     # ------------------------------------------------------------------
     # initialization
@@ -229,57 +241,71 @@ class MFBOptimizer(StrategyBase):
     # ------------------------------------------------------------------
     # model fitting
     # ------------------------------------------------------------------
-    def _fit_models(self, iteration: int = 1) -> tuple[list[GPR], list]:
-        """Fit per-output low GPs and fused high models.
+    def posterior(self) -> tuple[list[GPR], list] | None:
+        """``(low_models, fused_models)`` the next refill will use.
+
+        Fitted on the current history and memoized on its length, so the
+        session server's ``predict`` and the next :meth:`suggest` share
+        one fit, whichever asks first. ``None`` until the initial design
+        has been observed. Asking never changes the trajectory: the fit
+        draws from a copy of the ``"gp"`` stream and extends copies of
+        the live models, and :meth:`_refill` adopts it only because it is
+        exactly the fit the refill would make (same history, same
+        iteration, hence the same full-or-incremental decision).
+        """
+        if self._iteration == 0 and (
+            not self._init_drawn or self._queue or self._pending
+        ):
+            return None
+        return self._next_fit().models
+
+    def _next_fit(self) -> _AheadFit:
+        """The next refill's fit on the current history (memoized)."""
+        key = (len(self.history), self._iteration + 1)
+        fit = self._ahead
+        if fit is None or fit.key != key:
+            rng = copy.deepcopy(self._rng_streams["gp"])
+            start = time.perf_counter()
+            models = self._fit_models(key[1], rng)
+            fit = _AheadFit(key, models, rng, time.perf_counter() - start)
+            self._ahead = fit
+        return fit
+
+    def _fit_models(
+        self, iteration: int, rng: np.random.Generator
+    ) -> tuple[list[GPR], list]:
+        """Fit per-output low GPs and fused high models as new objects.
 
         Output order: objective first, then one model per constraint.
         Every ``refit_every``-th iteration performs the full
-        hyperparameter optimization; in between, cached models are
-        extended with the cheap incremental path.
+        hyperparameter optimization, drawing restarts from ``rng``; in
+        between, copies of the live models are extended with the cheap
+        incremental path. The live models are never modified.
         """
-        rng = self._rng_streams["gp"]
-        x_low, y_low, c_low = self.history.data(FIDELITY_LOW)
-        x_high, y_high, c_high = self.history.data(FIDELITY_HIGH)
-        targets_low = [y_low] + [c_low[:, i] for i in range(c_low.shape[1])]
-        targets_high = [y_high] + [c_high[:, i] for i in range(c_high.shape[1])]
-
-        full_refit = (
-            self._low_models is None
-            or (iteration - 1) % self.refit_every == 0
-        )
-        if not full_refit:
+        x_low, targets_low = self.history.outputs(FIDELITY_LOW)
+        x_high, targets_high = self.history.outputs(FIDELITY_HIGH)
+        if self._models is not None and (iteration - 1) % self.refit_every:
+            low_models, fused_models = copy.deepcopy(self._models)
             self._update_models(
-                self._low_models, self._fused_models,
+                low_models, fused_models,
                 x_low, targets_low, x_high, targets_high,
             )
-            return self._low_models, self._fused_models
+            return low_models, fused_models
+        return fit_output_pairs(
+            x_low, targets_low, x_high, targets_high, self._new_fused,
+            n_restarts=self.n_restarts, max_opt_iter=self.gp_max_opt_iter,
+            rng=rng,
+        )
 
-        low_models: list[GPR] = []
-        fused_models: list = []
-        for t_low, t_high in zip(targets_low, targets_high):
-            low_gp = GPR(max_opt_iter=self.gp_max_opt_iter).fit(
-                x_low, t_low, n_restarts=self.n_restarts, rng=rng
+    def _new_fused(self) -> NARGP | AR1:
+        """An unfitted fused model of the configured kind."""
+        if self.fusion == "nargp":
+            return NARGP(
+                n_mc_samples=self.n_mc_samples,
+                n_restarts=self.n_restarts,
+                max_opt_iter=self.gp_max_opt_iter,
             )
-            low_models.append(low_gp)
-            if self.fusion == "nargp":
-                fused = NARGP(
-                    n_mc_samples=self.n_mc_samples,
-                    n_restarts=self.n_restarts,
-                    max_opt_iter=self.gp_max_opt_iter,
-                )
-                fused.fit(
-                    x_low, t_low, x_high, t_high,
-                    rng=rng, low_model=low_gp,
-                )
-            else:
-                fused = AR1(n_restarts=self.n_restarts)
-                fused.fit(
-                    x_low, t_low, x_high, t_high,
-                    rng=rng, low_model=low_gp,
-                )
-            fused_models.append(fused)
-        self._low_models, self._fused_models = low_models, fused_models
-        return low_models, fused_models
+        return AR1(n_restarts=self.n_restarts)
 
     def _update_models(
         self,
@@ -422,11 +448,18 @@ class MFBOptimizer(StrategyBase):
         replaces the fantasy with the truth. With an empty pending set —
         every synchronous driver — this block is a no-op and the
         trajectory is bit-identical to the serial path.
+
+        The models come from :meth:`_next_fit`: a fit made ahead of time
+        for this very history and iteration (by :meth:`posterior`) is
+        adopted, together with the ``"gp"`` stream state it left behind.
         """
+        fit = self._next_fit()
         self._iteration += 1
-        fit_start = time.perf_counter()
-        low_models, fused_models = self._fit_models(self._iteration)
-        fit_elapsed = time.perf_counter() - fit_start
+        self._ahead = None
+        self._models = fit.models
+        low_models, fused_models = fit.models
+        gp_stream = self._rng_streams["gp"].bit_generator
+        gp_stream.state = fit.gp_rng.bit_generator.state
         z = self._rng_streams["mc"].standard_normal(self.n_mc_samples)
 
         propose_start = time.perf_counter()
@@ -478,7 +511,7 @@ class MFBOptimizer(StrategyBase):
                 self._fantasize(cur_low, cur_fused, fantasy, x_next, fidelity)
         self._emit_telemetry(
             "iteration",
-            fit_s=fit_elapsed,
+            fit_s=fit.seconds,
             propose_s=time.perf_counter() - propose_start,
             fidelity=chosen[0] if chosen else None,
             n_suggested=len(chosen),
@@ -488,13 +521,10 @@ class MFBOptimizer(StrategyBase):
 
     def _fantasy_data(self) -> dict:
         """Mutable copies of the per-fidelity training arrays."""
-        x_low, y_low, c_low = self.history.data(FIDELITY_LOW)
-        x_high, y_high, c_high = self.history.data(FIDELITY_HIGH)
+        x_low, t_low = self.history.outputs(FIDELITY_LOW)
+        x_high, t_high = self.history.outputs(FIDELITY_HIGH)
         return {
-            "x_low": x_low,
-            "t_low": [y_low] + [c_low[:, i] for i in range(c_low.shape[1])],
-            "x_high": x_high,
-            "t_high": [y_high] + [c_high[:, i] for i in range(c_high.shape[1])],
+            "x_low": x_low, "t_low": t_low, "x_high": x_high, "t_high": t_high
         }
 
     def _fantasize(
@@ -567,25 +597,26 @@ class MFBOptimizer(StrategyBase):
         keeps predicting bit-identically; on full-refit iterations the
         cache is rebuilt from scratch anyway.
         """
-        if self._low_models is None:
+        if self._models is None:
             return {"models": None}
+        low_models, fused_models = self._models
         fused = []
-        for model in self._fused_models:
+        for model in fused_models:
             fused.append(
                 {"type": self.fusion, **model.state_dict(include_low=False)}
             )
         return {
             "models": {
-                "low": [m.state_dict() for m in self._low_models],
+                "low": [m.state_dict() for m in low_models],
                 "fused": fused,
             }
         }
 
     def _load_extra_state(self, extra: dict) -> None:
+        self._ahead = None
         models = extra.get("models")
         if models is None:
-            self._low_models = None
-            self._fused_models = None
+            self._models = None
             return
         low_models = [
             GPR(max_opt_iter=self.gp_max_opt_iter).load_state_dict(state)
@@ -593,15 +624,7 @@ class MFBOptimizer(StrategyBase):
         ]
         fused_models = []
         for state, low_gp in zip(models["fused"], low_models):
-            if state["type"] == "nargp":
-                fused = NARGP(
-                    n_mc_samples=self.n_mc_samples,
-                    n_restarts=self.n_restarts,
-                    max_opt_iter=self.gp_max_opt_iter,
-                )
-            else:
-                fused = AR1(n_restarts=self.n_restarts)
+            fused = self._new_fused()
             fused.load_state_dict(state, low_model=low_gp)
             fused_models.append(fused)
-        self._low_models = low_models
-        self._fused_models = fused_models
+        self._models = low_models, fused_models

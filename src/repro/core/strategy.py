@@ -341,6 +341,17 @@ class StrategyBase:
     def _done(self) -> bool:
         raise NotImplementedError
 
+    def posterior(self) -> tuple[list, list] | None:
+        """The surrogate the next iteration would use, or ``None``.
+
+        Model-based strategies return ``(low_models, fused_models)``, one
+        model per output (objective first), fitted on the current
+        history; the session server answers ``predict`` from it. The
+        default — a strategy without such a surrogate, or without one
+        yet — is ``None``. Calling it must never change the trajectory.
+        """
+        return None
+
     # ------------------------------------------------------------------
     # driving
     # ------------------------------------------------------------------

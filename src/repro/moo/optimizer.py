@@ -44,6 +44,7 @@ from ..design.sampling import maximin_latin_hypercube
 from ..gp.gpr import GPR
 from ..mf.ar1 import AR1
 from ..mf.nargp import NARGP
+from ..mf.pairs import fit_output_pairs
 from ..optim.msp import MSPOptimizer
 from ..problems.base import FIDELITY_HIGH, FIDELITY_LOW
 from ..problems.multi import MultiObjectiveProblem
@@ -283,27 +284,25 @@ class MOMFBOptimizer(StrategyBase):
         targets_high: list[np.ndarray],
     ) -> tuple[list[GPR], list]:
         """One (low GP, fused model) pair per target column."""
-        rng = self._rng_streams["gp"]
-        low_models: list[GPR] = []
-        fused_models: list = []
-        for t_low, t_high in zip(targets_low, targets_high):
-            low_gp = GPR(max_opt_iter=self.gp_max_opt_iter).fit(
-                x_low, t_low, n_restarts=self.n_restarts, rng=rng
+        return fit_output_pairs(
+            x_low,
+            targets_low,
+            x_high,
+            targets_high,
+            self._new_fused,
+            n_restarts=self.n_restarts,
+            max_opt_iter=self.gp_max_opt_iter,
+            rng=self._rng_streams["gp"],
+        )
+
+    def _new_fused(self) -> NARGP | AR1:
+        if self.fusion == "nargp":
+            return NARGP(
+                n_mc_samples=self.n_mc_samples,
+                n_restarts=self.n_restarts,
+                max_opt_iter=self.gp_max_opt_iter,
             )
-            low_models.append(low_gp)
-            if self.fusion == "nargp":
-                fused = NARGP(
-                    n_mc_samples=self.n_mc_samples,
-                    n_restarts=self.n_restarts,
-                    max_opt_iter=self.gp_max_opt_iter,
-                )
-            else:
-                fused = AR1(n_restarts=self.n_restarts)
-            fused.fit(
-                x_low, t_low, x_high, t_high, rng=rng, low_model=low_gp
-            )
-            fused_models.append(fused)
-        return low_models, fused_models
+        return AR1(n_restarts=self.n_restarts)
 
     def _fit_objective_models(self) -> tuple[list[GPR], list]:
         """EHVI path: objectives first, then one pair per constraint."""

@@ -1,12 +1,17 @@
-"""LRU cache of fitted surrogate posteriors keyed on history content.
+"""Fitted surrogate posteriors behind the server's ``predict`` op.
 
-Reconnecting clients and read-only queries (``show``, ``predict``)
-repeatedly need a fitted posterior for a history that has not changed —
-and fitting GPs is by far the most expensive part of serving them.
-:class:`PosteriorCache` memoizes :class:`SurrogatePosterior` objects
-under a content hash of the evaluation history
+A model-based strategy already fits a surrogate for every history it
+suggests from; :meth:`repro.core.StrategyBase.posterior` hands that fit
+out, and :meth:`PosteriorCache.serve` wraps it once per fit, scoped to
+its run. No second fit happens: ``predict`` and the next ``suggest``
+share one.
+
+Strategies without a surrogate of their own (random search, DE, GASPAD,
+WEIBO, MOMFBO, and MFBO during its initial design) fall back to a
+:class:`SurrogatePosterior` fitted here. :class:`PosteriorCache` keeps
+those in an LRU map keyed by a content hash of the evaluation history
 (:func:`history_fingerprint`), so the second client to look at the same
-run pays a dictionary lookup instead of an L-BFGS-B hyperparameter
+history pays a dictionary lookup instead of an L-BFGS-B hyperparameter
 search. Any new observation changes the fingerprint, which makes stale
 reads structurally impossible — an out-of-date entry can never be
 returned, only evicted.
@@ -24,9 +29,9 @@ import numpy as np
 from ..core.history import History
 from ..gp.gpr import GPR
 from ..mf.nargp import NARGP
+from ..mf.pairs import fit_output_pairs
 from ..obs import MetricsRegistry
 from ..problems.base import Problem
-from ..rng import ensure_rng
 
 __all__ = ["history_fingerprint", "SurrogatePosterior", "PosteriorCache"]
 
@@ -60,12 +65,13 @@ class SurrogatePosterior:
 
     One low-fidelity :class:`repro.gp.GPR` plus one fused
     :class:`repro.mf.NARGP` per output (objective first, then each
-    constraint), mirroring the models
-    :class:`repro.core.MFBOptimizer` fits each iteration. When the
-    history only covers a single fidelity, plain GPs at that fidelity
-    are used. Prediction pushes the low-fidelity mean through the fused
-    model (deterministic — no Monte-Carlo draws), so identical queries
-    against a cached posterior return identical answers.
+    constraint), the model set :class:`repro.core.MFBOptimizer` fits
+    each iteration. When the history only covers a single fidelity,
+    plain GPs at that fidelity are used. Prediction pushes the
+    low-fidelity mean through the fused model (deterministic — no
+    Monte-Carlo draws), so identical queries against a cached posterior
+    return identical answers. :meth:`from_models` wraps a strategy's own
+    fit instead of fitting.
     """
 
     def __init__(
@@ -77,42 +83,37 @@ class SurrogatePosterior:
         max_opt_iter: int = 50,
         seed: int = 0,
     ) -> None:
-        self.problem = problem
-        self.n_history = len(history)
-        rng = ensure_rng(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
         low_f, high_f = problem.lowest_fidelity, problem.highest_fidelity
         n_low = history.n_evaluations(low_f)
         n_high = history.n_evaluations(high_f)
-        self._models: list[GPR | NARGP] = []
         self.fused = bool(
             low_f != high_f and n_low >= 2 and n_high >= 2
         )
         if self.fused:
-            x_low, y_low, c_low = history.data(low_f)
-            x_high, y_high, c_high = history.data(high_f)
-            lows = [y_low] + [c_low[:, i] for i in range(c_low.shape[1])]
-            highs = [y_high] + [c_high[:, i] for i in range(c_high.shape[1])]
-            for t_low, t_high in zip(lows, highs):
-                low_gp = GPR(max_opt_iter=max_opt_iter).fit(
-                    x_low, t_low, n_restarts=n_restarts, rng=rng
-                )
-                fused = NARGP(
-                    n_restarts=n_restarts, max_opt_iter=max_opt_iter
-                )
-                fused.fit(
-                    x_low, t_low, x_high, t_high, rng=rng, low_model=low_gp
-                )
-                self._models.append(fused)
+            x_low, lows = history.outputs(low_f)
+            x_high, highs = history.outputs(high_f)
+            _, self._models = fit_output_pairs(
+                x_low, lows, x_high, highs,
+                lambda: NARGP(n_restarts=n_restarts, max_opt_iter=max_opt_iter),
+                n_restarts=n_restarts, max_opt_iter=max_opt_iter, rng=rng,
+            )
         else:
-            fidelity = high_f if n_high >= 2 else low_f
-            x, y, c = history.data(fidelity)
-            targets = [y] + [c[:, i] for i in range(c.shape[1])]
-            for t in targets:
-                self._models.append(
-                    GPR(max_opt_iter=max_opt_iter).fit(
-                        x, t, n_restarts=n_restarts, rng=rng
-                    )
+            x, targets = history.outputs(high_f if n_high >= 2 else low_f)
+            self._models = [
+                GPR(max_opt_iter=max_opt_iter).fit(
+                    x, t, n_restarts=n_restarts, rng=rng
                 )
+                for t in targets
+            ]
+
+    @classmethod
+    def from_models(cls, fused_models: list) -> "SurrogatePosterior":
+        """Serve already-fitted fused models (one per output), no fit."""
+        posterior = cls.__new__(cls)
+        posterior.fused = True
+        posterior._models = fused_models
+        return posterior
 
     @property
     def n_outputs(self) -> int:
@@ -127,7 +128,7 @@ class SurrogatePosterior:
         x_unit = np.atleast_2d(np.asarray(x_unit, dtype=float))
         means, stds = [], []
         for model in self._models:
-            if isinstance(model, NARGP):
+            if self.fused:
                 mu, var = model.predict_mean_path(x_unit)
             else:
                 mu, var = model.predict(x_unit)
@@ -153,6 +154,8 @@ class PosteriorCache:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = int(maxsize)
         self._entries: OrderedDict[str, SurrogatePosterior] = OrderedDict()
+        # Strategy-served posteriors, one per run: (the fit, its wrapper).
+        self._served: dict[str, tuple[object, SurrogatePosterior]] = {}
         # Counters live in an obs registry — the server passes its own
         # so the `stats` op exports them alongside per-op latencies;
         # a standalone cache gets a private registry.
@@ -208,6 +211,31 @@ class PosteriorCache:
         entry = fit()
         self.put(key, entry)
         return entry, False
+
+    def serve(
+        self, run_id: str, fitted: tuple[list, list]
+    ) -> tuple[SurrogatePosterior, bool]:
+        """Return ``(posterior, was_hit)`` for a run's own surrogate.
+
+        ``fitted`` is what the run's :meth:`~repro.core.StrategyBase.posterior`
+        returned. A strategy memoizes its fit, so asking again about an
+        unchanged history hands back the same object: a hit. A new object
+        means a new fit: a miss. Entries are scoped to ``run_id``, never
+        to the history fingerprint — two runs with equal histories may
+        hold different fits (different seeds or fit settings).
+        """
+        entry = self._served.get(run_id)
+        if entry is not None and entry[0] is fitted:
+            self._hits.inc()
+            return entry[1], True
+        self._misses.inc()
+        posterior = SurrogatePosterior.from_models(fitted[1])
+        self._served[run_id] = (fitted, posterior)
+        return posterior, False
+
+    def forget(self, run_id: str) -> None:
+        """Drop a run's strategy-served posterior (the run was detached)."""
+        self._served.pop(run_id, None)
 
     def stats(self) -> dict:
         """Hit/miss/eviction counters and current size."""

@@ -50,7 +50,8 @@ class SessionServer(socketserver.ThreadingTCPServer):
         :attr:`address`).
     cache_size:
         Capacity of the LRU :class:`PosteriorCache` behind the
-        ``predict`` op.
+        ``predict`` op for strategies that do not serve their own
+        surrogate.
     request_timeout:
         Socket timeout applied to every client connection.
     """
@@ -186,6 +187,7 @@ class SessionServer(socketserver.ThreadingTCPServer):
             session = self.sessions.pop(run_id, None)
         if session is not None:
             session.close()
+        self.cache.forget(run_id)
         return {"run_id": run_id, "detached": session is not None}
 
     def _op_suggest(self, request: dict) -> dict:
@@ -243,10 +245,19 @@ class SessionServer(socketserver.ThreadingTCPServer):
         session = self._session(str(request["run_id"]))
         history = session.history
         key = history_fingerprint(session.problem.name, history)
-        posterior, hit = self.cache.get_or_fit(
-            key,
-            lambda: SurrogatePosterior(session.problem, history),
-        )
+        # A strategy with a surrogate serves the fit its next suggestion
+        # uses; the rest fall back to a fit cached by history content.
+        # (`posterior` is not part of the Strategy protocol: a strategy
+        # that does not derive from StrategyBase may lack it.)
+        own = getattr(session.strategy, "posterior", None)
+        fitted = own() if own is not None else None
+        if fitted is not None:
+            posterior, hit = self.cache.serve(session.run_id, fitted)
+        else:
+            posterior, hit = self.cache.get_or_fit(
+                key,
+                lambda: SurrogatePosterior(session.problem, history),
+            )
         mean, std = posterior.predict(
             np.asarray(request["x_unit"], dtype=float)
         )

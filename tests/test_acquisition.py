@@ -16,6 +16,7 @@ from repro.acquisition import (
     probability_of_feasibility,
     probability_of_improvement,
 )
+from repro.acquisition.functions import norm_cdf, norm_pdf
 
 
 def constant_predictor(mu, var):
@@ -24,6 +25,31 @@ def constant_predictor(mu, var):
         np.full(np.atleast_2d(x).shape[0], mu),
         np.full(np.atleast_2d(x).shape[0], var),
     )
+
+
+class TestNormalHelpers:
+    """The hot-path normal CDF/PDF are bit for bit ``scipy.stats.norm``."""
+
+    def test_bitwise_equal_to_scipy_stats(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([
+            rng.standard_normal(50_000) * 4.0,
+            rng.uniform(-40.0, 40.0, 50_000),
+            [np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 38.5, -38.5],
+        ])
+        for ours, theirs in ((norm_cdf, norm.cdf), (norm_pdf, norm.pdf)):
+            # compare bit patterns: array_equal would accept 0.0 == -0.0
+            got, want = ours(x), theirs(x)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            grid = x[:64].reshape(8, 8)  # the 2-D shapes of the EHVI path
+            assert np.array_equal(
+                ours(grid).view(np.uint64), theirs(grid).view(np.uint64)
+            )
+
+    def test_nan_propagates_like_scipy(self):
+        x = np.array([np.nan, 0.5])
+        np.testing.assert_array_equal(norm_cdf(x), norm.cdf(x))
+        np.testing.assert_array_equal(norm_pdf(x), norm.pdf(x))
 
 
 class TestExpectedImprovement:
