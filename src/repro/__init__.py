@@ -37,7 +37,7 @@ heavy substrate (spice, GP code) only loads when first touched.
 
 from typing import TYPE_CHECKING
 
-__version__ = "0.3.0"
+__version__ = "0.5.0"
 
 # Each public name lives in exactly one submodule; __getattr__ imports
 # that submodule on first attribute access.

@@ -4,7 +4,8 @@ Implements §2.4 of the paper: Expected Improvement (eq. 5), probability
 of feasibility, the weighted Expected Improvement wEI (eq. 6) used by both
 the proposed method and the WEIBO baseline, the lower confidence bound
 used by the GASPAD baseline, and the constraint-violation objective of
-eq. (13) used to locate a first feasible point.
+eq. (13) used to locate a first feasible point. :func:`wei_or_violation`
+is the one place that chooses between wEI and the eq. 13 objective.
 
 All acquisition objects share one calling convention: they wrap
 *predictors* — callables ``x -> (mu, var)`` over ``(n, d)`` arrays — and
@@ -190,3 +191,19 @@ class ViolationAcquisition:
             mu, _ = predictor(x)
             total += np.maximum(0.0, mu)
         return -total
+
+
+def wei_or_violation(
+    predictors: Sequence[Predictor], tau: float | None
+) -> WeightedEI | ViolationAcquisition:
+    """wEI once a feasible incumbent exists, else the eq. 13 search (§4.2).
+
+    ``predictors`` holds the objective posterior first, then one per
+    constraint; ``tau`` is the best feasible objective, ``None`` while no
+    feasible point is known. Without constraints this is always wEI
+    (plain EI, or a constant when ``tau`` is ``None``).
+    """
+    objective, constraints = predictors[0], list(predictors[1:])
+    if tau is not None or not constraints:
+        return WeightedEI(objective, constraints, tau)
+    return ViolationAcquisition(constraints)

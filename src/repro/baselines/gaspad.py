@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..deprecation import keyword_only_config
 from ..acquisition.functions import lower_confidence_bound
 from ..core.history import History
 from ..core.strategy import StrategyBase
@@ -60,10 +59,10 @@ class GASPAD(StrategyBase):
     strategy_id = "gaspad"
     rng_stream_names = ("init", "gp", "de")
 
-    @keyword_only_config
     def __init__(
         self,
         problem: Problem,
+        *,
         budget: int = 300,
         n_init: int = 40,
         pop_size: int = 20,

@@ -18,8 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..deprecation import keyword_only_config
-from ..acquisition.functions import ViolationAcquisition, WeightedEI
+from ..acquisition.functions import wei_or_violation
 from ..core.history import History
 from ..core.strategy import StrategyBase
 from ..design.sampling import maximin_latin_hypercube
@@ -52,10 +51,10 @@ class WEIBO(StrategyBase):
     strategy_id = "weibo"
     rng_stream_names = ("init", "gp", "acq", "dedup")
 
-    @keyword_only_config
     def __init__(
         self,
         problem: Problem,
+        *,
         budget: int = 150,
         n_init: int = 40,
         n_restarts: int = 2,
@@ -92,22 +91,13 @@ class WEIBO(StrategyBase):
 
     # ------------------------------------------------------------------
     def _fit_models(self) -> list[GPR]:
-        x, y, constraints = self.history.data(self._fidelity)
-        targets = [y] + [constraints[:, i] for i in range(constraints.shape[1])]
+        x, targets = self.history.outputs(self._fidelity)
         return [
             GPR(max_opt_iter=self.gp_max_opt_iter).fit(
                 x, t, n_restarts=self.n_restarts, rng=self._rng_streams["gp"]
             )
             for t in targets
         ]
-
-    def _build_acquisition(self, models: list[GPR]):
-        predictors = [(lambda m: (lambda x: m.predict(x)))(m) for m in models]
-        feasible = self.history.best_feasible(self._fidelity)
-        if feasible is not None or len(predictors) == 1:
-            tau = feasible.objective if feasible is not None else None
-            return WeightedEI(predictors[0], predictors[1:], tau)
-        return ViolationAcquisition(predictors[1:])
 
     # ------------------------------------------------------------------
     # ask/tell hooks
@@ -125,10 +115,16 @@ class WEIBO(StrategyBase):
             return
         self._iteration += 1
         models = self._fit_models()
+        feasible = self.history.best_feasible(self._fidelity)
+        # The models are extended in place below, so one acquisition
+        # serves the whole batch.
+        acquisition = wei_or_violation(
+            [gp.predict for gp in models],
+            None if feasible is None else feasible.objective,
+        )
+        incumbent = self.history.incumbent(self._fidelity)
         avoid: list[np.ndarray] = []
         for j in range(m):
-            acquisition = self._build_acquisition(models)
-            incumbent = self.history.incumbent(self._fidelity)
             result = self.acq_optimizer.maximize(
                 acquisition,
                 incumbent_high=None if incumbent is None else incumbent.x_unit,

@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import copy
 import time
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..deprecation import keyword_only_config
-from ..acquisition.functions import ViolationAcquisition, WeightedEI
+from ..acquisition.functions import Predictor, wei_or_violation
 from ..design.sampling import maximin_latin_hypercube
 from ..gp.gpr import GPR
 from ..mf.ar1 import AR1
@@ -55,6 +54,10 @@ from .strategy import StrategyBase
 
 __all__ = ["MFBOptimizer"]
 
+#: ``propose(j, avoid) -> (x, acquisition value, low models)``, one batch
+#: member's search; the low models drive its eq. 11/12 fidelity choice
+_Proposer = Callable[[int, list[np.ndarray]], tuple[np.ndarray, float, list]]
+
 
 class _AheadFit(NamedTuple):
     """A surrogate fitted before the refill that will adopt it."""
@@ -65,7 +68,218 @@ class _AheadFit(NamedTuple):
     seconds: float
 
 
-class MFBOptimizer(StrategyBase):
+class _TwoFidelityBO(StrategyBase):
+    """The Algorithm-1 loop shared by the single- and multi-objective BO.
+
+    Owns the two-fidelity initial design, the fused-model factory, the
+    MSP low-then-fused acquisition search, the eq. 11/12 fidelity choice
+    under the cost budget and the per-iteration telemetry. A subclass
+    fits its surrogates and builds its acquisitions in ``_refill``, then
+    hands the batch to :meth:`_fill_queue`.
+    """
+
+    def __init__(
+        self,
+        problem: Problem,
+        *,
+        budget: float,
+        n_init_low: int,
+        n_init_high: int,
+        gamma: float,
+        n_mc_samples: int,
+        n_restarts: int,
+        msp_starts: int,
+        msp_polish: int,
+        ball_stddev: float,
+        fusion: str,
+        gp_max_opt_iter: int,
+        max_iterations: int,
+        seed: int | None,
+        rng: np.random.Generator | None,
+        callback: Callable[[int, History], None] | None,
+    ) -> None:
+        if len(problem.fidelities) != 2:
+            raise ValueError(
+                f"{type(self).__name__} needs a two-fidelity problem; got "
+                f"{problem.fidelities}"
+            )
+        if budget <= 0:
+            raise ValueError("budget must be positive")
+        if n_init_low < 1 or n_init_high < 1:
+            raise ValueError("initial designs need at least one point each")
+        if fusion not in ("nargp", "ar1"):
+            raise ValueError("fusion must be 'nargp' or 'ar1'")
+        self.budget = float(budget)
+        self.n_init_low = int(n_init_low)
+        self.n_init_high = int(n_init_high)
+        self.n_mc_samples = int(n_mc_samples)
+        self.n_restarts = int(n_restarts)
+        self.msp_starts = int(msp_starts)
+        self.msp_polish = int(msp_polish)
+        self.ball_stddev = float(ball_stddev)
+        self.fusion = fusion
+        self.gp_max_opt_iter = int(gp_max_opt_iter)
+        self.max_iterations = int(max_iterations)
+        self._setup_base(problem, seed, rng, callback)
+        self.selector = FidelitySelector(gamma=gamma)
+        self.acq_optimizer = MSPOptimizer(
+            dim=problem.dim,
+            n_starts=msp_starts,
+            n_polish=msp_polish,
+            frac_around_low=0.10,
+            frac_around_high=0.40,
+            ball_stddev=ball_stddev,
+            rng=self._rng_streams["acq"],
+        )
+
+    def _initial_suggestions(self) -> list[Suggestion]:
+        rng = self._rng_streams["init"]
+        init_low = maximin_latin_hypercube(
+            self.n_init_low, self.problem.dim, rng
+        )
+        init_high = maximin_latin_hypercube(
+            self.n_init_high, self.problem.dim, rng
+        )
+        return [Suggestion(u, FIDELITY_LOW) for u in init_low] + [
+            Suggestion(u, FIDELITY_HIGH) for u in init_high
+        ]
+
+    def _new_fused(self) -> NARGP | AR1:
+        """An unfitted fused model of the configured kind."""
+        if self.fusion == "nargp":
+            return NARGP(
+                n_mc_samples=self.n_mc_samples,
+                n_restarts=self.n_restarts,
+                max_opt_iter=self.gp_max_opt_iter,
+            )
+        return AR1(n_restarts=self.n_restarts)
+
+    def _fit_pairs(
+        self,
+        x_low: np.ndarray,
+        targets_low: list[np.ndarray],
+        x_high: np.ndarray,
+        targets_high: list[np.ndarray],
+        rng: np.random.Generator,
+    ) -> tuple[list[GPR], list]:
+        """One (low GP, fused model) pair per target, restarts from ``rng``."""
+        return fit_output_pairs(
+            x_low, targets_low, x_high, targets_high, self._new_fused,
+            n_restarts=self.n_restarts, max_opt_iter=self.gp_max_opt_iter,
+            rng=rng,
+        )
+
+    # ------------------------------------------------------------------
+    # suggestion (Algorithm 1, lines 5-7)
+    # ------------------------------------------------------------------
+    def _two_stage_search(
+        self,
+        low_acq: Callable[[np.ndarray], np.ndarray],
+        high_acq: Callable[[np.ndarray], np.ndarray],
+        incumbent_low: np.ndarray | None,
+        incumbent_high: np.ndarray | None,
+        avoid: list[np.ndarray],
+    ) -> tuple[np.ndarray, float]:
+        """MSP search of the low acquisition for ``x_l*`` (l.5), then of
+        the fused one with ``x_l*`` as an extra start (l.6).
+
+        Returns the deduplicated candidate and the fused acquisition
+        value at the (pre-dedup) optimum — the latter feeds telemetry
+        only, never the trajectory.
+        """
+        low_result = self.acq_optimizer.maximize(
+            low_acq, incumbent_low=incumbent_low, incumbent_high=incumbent_high
+        )
+        high_result = self.acq_optimizer.maximize(
+            high_acq,
+            incumbent_low=incumbent_low,
+            incumbent_high=incumbent_high,
+            extra_starts=low_result.x,
+        )
+        return self._dedup(high_result.x, avoid=avoid), float(high_result.value)
+
+    def _fill_queue(
+        self,
+        k: int,
+        fit_seconds: float,
+        propose: _Proposer,
+        believe: Callable[[np.ndarray, str], None] | None = None,
+    ) -> None:
+        """Queue up to ``k`` batch members within the budget.
+
+        ``propose`` searches each member away from the points in its
+        ``avoid`` list: the suggestions still in flight on an
+        asynchronous evaluator, then the members already picked. Each
+        pick gets the eq. 11/12 fidelity; when that no longer fits the
+        budget the remainder goes to a coarse simulation instead of
+        overshooting, and when not even that fits the run stops, so the
+        reported cost respects the equivalent-cost budget the tables are
+        keyed on. ``believe(x, fidelity)`` tells the surrogate a
+        constant-liar outcome for every in-flight suggestion and every
+        pick but the last, so the next search explores elsewhere.
+        """
+        propose_start = time.perf_counter()
+        projected = self.history.total_cost + self.pending_cost
+        avoid: list[np.ndarray] = []
+        for s in self._pending:
+            x_pending = np.asarray(s.x_unit, dtype=float).ravel()
+            if believe is not None:
+                believe(x_pending, s.fidelity)
+            avoid.append(x_pending)
+        chosen: list[str] = []
+        first_acq: float | None = None
+        for j in range(k):
+            x_next, acq_value, low_models = propose(j, avoid)
+            if j == 0:
+                first_acq = acq_value
+            fidelity = self.selector.select(x_next, low_models)
+            remaining = self.budget - projected
+            if self.problem.cost(fidelity) > remaining + 1e-9:
+                if self.problem.cost(FIDELITY_LOW) <= remaining + 1e-9:
+                    fidelity = FIDELITY_LOW
+                else:
+                    self._stopped = True
+                    break
+            self._queue.append(Suggestion(x_next, fidelity))
+            chosen.append(fidelity)
+            avoid.append(x_next)
+            projected += self.problem.cost(fidelity)
+            if j < k - 1 and believe is not None:
+                believe(x_next, fidelity)
+        self._emit_telemetry(
+            "iteration",
+            fit_s=fit_seconds,
+            propose_s=time.perf_counter() - propose_start,
+            fidelity=chosen[0] if chosen else None,
+            n_suggested=len(chosen),
+            acq=first_acq,
+            budget_spent=float(projected),
+        )
+
+    def _done(self) -> bool:
+        return (
+            self.history.total_cost >= self.budget - 1e-9
+            or self._iteration >= self.max_iterations
+        )
+
+    def config_dict(self) -> dict:
+        return {
+            "budget": self.budget,
+            "n_init_low": self.n_init_low,
+            "n_init_high": self.n_init_high,
+            "gamma": self.selector.gamma,
+            "n_mc_samples": self.n_mc_samples,
+            "n_restarts": self.n_restarts,
+            "msp_starts": self.msp_starts,
+            "msp_polish": self.msp_polish,
+            "ball_stddev": self.ball_stddev,
+            "fusion": self.fusion,
+            "gp_max_opt_iter": self.gp_max_opt_iter,
+            "max_iterations": self.max_iterations,
+        }
+
+
+class MFBOptimizer(_TwoFidelityBO):
     """Multi-fidelity constrained Bayesian optimizer (the paper's method).
 
     Parameters
@@ -150,10 +364,10 @@ class MFBOptimizer(StrategyBase):
     strategy_id = "mfbo"
     rng_stream_names = ("init", "gp", "mc", "acq", "dedup")
 
-    @keyword_only_config
     def __init__(
         self,
         problem: Problem,
+        *,
         budget: float = 50.0,
         n_init_low: int = 10,
         n_init_high: int = 5,
@@ -172,71 +386,24 @@ class MFBOptimizer(StrategyBase):
         rng: np.random.Generator | None = None,
         callback: Callable[[int, History], None] | None = None,
     ) -> None:
-        if len(problem.fidelities) != 2:
-            raise ValueError(
-                "MFBOptimizer needs a two-fidelity problem; got "
-                f"{problem.fidelities}"
-            )
-        if budget <= 0:
-            raise ValueError("budget must be positive")
-        if n_init_low < 1 or n_init_high < 1:
-            raise ValueError("initial designs need at least one point each")
-        if fusion not in ("nargp", "ar1"):
-            raise ValueError("fusion must be 'nargp' or 'ar1'")
         if fused_prediction not in ("mc", "mean_path"):
             raise ValueError("fused_prediction must be 'mc' or 'mean_path'")
         if refit_every < 1:
             raise ValueError("refit_every must be >= 1")
-        self.budget = float(budget)
-        self.n_init_low = int(n_init_low)
-        self.n_init_high = int(n_init_high)
-        self.n_mc_samples = int(n_mc_samples)
-        self.n_restarts = int(n_restarts)
-        self.msp_starts = int(msp_starts)
-        self.msp_polish = int(msp_polish)
-        self.ball_stddev = float(ball_stddev)
-        self.fusion = fusion
+        super().__init__(
+            problem, budget=budget, n_init_low=n_init_low,
+            n_init_high=n_init_high, gamma=gamma, n_mc_samples=n_mc_samples,
+            n_restarts=n_restarts, msp_starts=msp_starts,
+            msp_polish=msp_polish, ball_stddev=ball_stddev, fusion=fusion,
+            gp_max_opt_iter=gp_max_opt_iter, max_iterations=max_iterations,
+            seed=seed, rng=rng, callback=callback,
+        )
         self.fused_prediction = fused_prediction
         self.refit_every = int(refit_every)
-        self.gp_max_opt_iter = int(gp_max_opt_iter)
-        self.max_iterations = int(max_iterations)
-        self._setup_base(problem, seed, rng, callback)
-        self.selector = FidelitySelector(gamma=gamma)
-        self.acq_optimizer = MSPOptimizer(
-            dim=problem.dim,
-            n_starts=msp_starts,
-            n_polish=msp_polish,
-            frac_around_low=0.10,
-            frac_around_high=0.40,
-            ball_stddev=ball_stddev,
-            rng=self._rng_streams["acq"],
-        )
         # The live surrogate, (low_models, fused_models), as adopted by
         # the last refill; the next incremental update starts from it.
         self._models: tuple[list[GPR], list] | None = None
         self._ahead: _AheadFit | None = None
-
-    # ------------------------------------------------------------------
-    # initialization
-    # ------------------------------------------------------------------
-    def _initial_suggestions(self) -> list[Suggestion]:
-        rng = self._rng_streams["init"]
-        init_low = maximin_latin_hypercube(
-            self.n_init_low, self.problem.dim, rng
-        )
-        init_high = maximin_latin_hypercube(
-            self.n_init_high, self.problem.dim, rng
-        )
-        return [Suggestion(u, FIDELITY_LOW) for u in init_low] + [
-            Suggestion(u, FIDELITY_HIGH) for u in init_high
-        ]
-
-    def _initialize(self) -> None:
-        """Evaluate the whole initial design in-process (eagerly)."""
-        for x_unit, fidelity in self.suggest(self.n_init_low + self.n_init_high):
-            self.observe(
-                x_unit, fidelity, self.problem.evaluate_unit(x_unit, fidelity)
-            )
 
     # ------------------------------------------------------------------
     # model fitting
@@ -291,21 +458,7 @@ class MFBOptimizer(StrategyBase):
                 x_low, targets_low, x_high, targets_high,
             )
             return low_models, fused_models
-        return fit_output_pairs(
-            x_low, targets_low, x_high, targets_high, self._new_fused,
-            n_restarts=self.n_restarts, max_opt_iter=self.gp_max_opt_iter,
-            rng=rng,
-        )
-
-    def _new_fused(self) -> NARGP | AR1:
-        """An unfitted fused model of the configured kind."""
-        if self.fusion == "nargp":
-            return NARGP(
-                n_mc_samples=self.n_mc_samples,
-                n_restarts=self.n_restarts,
-                max_opt_iter=self.gp_max_opt_iter,
-            )
-        return AR1(n_restarts=self.n_restarts)
+        return self._fit_pairs(x_low, targets_low, x_high, targets_high, rng)
 
     def _update_models(
         self,
@@ -355,81 +508,40 @@ class MFBOptimizer(StrategyBase):
                 fused.delta_model.fit(x_high, residual, optimize=False)
 
     # ------------------------------------------------------------------
-    # acquisition assembly
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _gp_predictor(
-        model: GPR,
-    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        return lambda x: model.predict(x)
-
-    def _fused_predictor(
-        self, model: NARGP | AR1, z: np.ndarray
-    ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        if self.fused_prediction == "mean_path":
-            return lambda x: model.predict_mean_path(x)
-        return lambda x: model.predict(x, z=z)
-
-    def _build_acquisition(
-        self,
-        predictors: Sequence,
-        tau: float | None,
-        any_feasible: bool,
-    ) -> WeightedEI | ViolationAcquisition:
-        """wEI when a feasible incumbent exists, else eq. 13 / pure PF."""
-        objective_predictor = predictors[0]
-        constraint_predictors = list(predictors[1:])
-        if any_feasible or not constraint_predictors:
-            return WeightedEI(objective_predictor, constraint_predictors, tau)
-        return ViolationAcquisition(constraint_predictors)
-
-    # ------------------------------------------------------------------
     # suggestion (Algorithm 1, lines 4-7)
     # ------------------------------------------------------------------
-    def _propose(
-        self, low_models: list[GPR], fused_models: list, z: np.ndarray,
+    def _fused_predictor(self, model: NARGP | AR1, z: np.ndarray) -> Predictor:
+        if self.fused_prediction == "mean_path":
+            return model.predict_mean_path
+        return lambda x: model.predict(x, z=z)
+
+    def _search(
+        self,
+        low_models: list[GPR],
+        fused_models: list,
+        z: np.ndarray,
         avoid: list[np.ndarray],
     ) -> tuple[np.ndarray, float]:
-        """One acquisition round: MSP low search, then the fused search.
-
-        Returns the deduplicated candidate and the fused acquisition
-        value at the (pre-dedup) optimum — the latter feeds telemetry
-        only, never the trajectory.
-        """
-        best_low = self.history.incumbent(FIDELITY_LOW)
-        best_high = self.history.incumbent(FIDELITY_HIGH)
+        """wEI (or eq. 13) per fidelity, then the two-stage MSP search."""
         feasible_low = self.history.best_feasible(FIDELITY_LOW)
         feasible_high = self.history.best_feasible(FIDELITY_HIGH)
-
-        # --- step 1: low-fidelity acquisition -> x_l* (Algorithm 1 l.5)
-        low_predictors = [self._gp_predictor(m) for m in low_models]
-        low_acq = self._build_acquisition(
-            low_predictors,
-            feasible_low.objective if feasible_low is not None else None,
-            feasible_low is not None,
+        best_low = self.history.incumbent(FIDELITY_LOW)
+        best_high = self.history.incumbent(FIDELITY_HIGH)
+        low_acq = wei_or_violation(
+            [m.predict for m in low_models],
+            None if feasible_low is None else feasible_low.objective,
         )
-        low_result = self.acq_optimizer.maximize(
+        high_acq = wei_or_violation(
+            [self._fused_predictor(m, z) for m in fused_models],
+            None if feasible_high is None else feasible_high.objective,
+        )
+        return self._two_stage_search(
             low_acq,
-            incumbent_low=None if best_low is None else best_low.x_unit,
-            incumbent_high=None if best_high is None else best_high.x_unit,
-        )
-
-        # --- step 2: fused acquisition seeded with x_l* (l.6)
-        fused_predictors = [
-            self._fused_predictor(m, z) for m in fused_models
-        ]
-        high_acq = self._build_acquisition(
-            fused_predictors,
-            feasible_high.objective if feasible_high is not None else None,
-            feasible_high is not None,
-        )
-        high_result = self.acq_optimizer.maximize(
             high_acq,
-            incumbent_low=None if best_low is None else best_low.x_unit,
-            incumbent_high=None if best_high is None else best_high.x_unit,
-            extra_starts=low_result.x,
+            None if best_low is None else best_low.x_unit,
+            None if best_high is None else best_high.x_unit,
+            avoid,
         )
-        return self._dedup(high_result.x, avoid=avoid), float(high_result.value)
 
     def _refill(self, k: int) -> None:
         """One Algorithm-1 iteration producing up to ``k`` candidates.
@@ -446,8 +558,8 @@ class MFBOptimizer(StrategyBase):
         re-proposes nor re-budgets them; once the real evaluation lands,
         :meth:`observe` retracts the pending entry and the next refill
         replaces the fantasy with the truth. With an empty pending set —
-        every synchronous driver — this block is a no-op and the
-        trajectory is bit-identical to the serial path.
+        every synchronous driver — this is a no-op and the trajectory is
+        bit-identical to the serial path.
 
         The models come from :meth:`_next_fit`: a fit made ahead of time
         for this very history and iteration (by :meth:`posterior`) is
@@ -457,67 +569,24 @@ class MFBOptimizer(StrategyBase):
         self._iteration += 1
         self._ahead = None
         self._models = fit.models
-        low_models, fused_models = fit.models
         gp_stream = self._rng_streams["gp"].bit_generator
         gp_stream.state = fit.gp_rng.bit_generator.state
         z = self._rng_streams["mc"].standard_normal(self.n_mc_samples)
 
-        propose_start = time.perf_counter()
-        chosen: list[str] = []
-        first_acq: float | None = None
-        cur_low, cur_fused = low_models, fused_models
-        fantasy = None  # lazily created copies + growing data arrays
-        projected = self.history.total_cost + self.pending_cost
-        avoid: list[np.ndarray] = []
-        if self._pending:
-            cur_low, cur_fused = copy.deepcopy((low_models, fused_models))
-            fantasy = self._fantasy_data()
-            for s in self._pending:
-                x_pending = np.asarray(s.x_unit, dtype=float).ravel()
-                self._fantasize(
-                    cur_low, cur_fused, fantasy, x_pending, s.fidelity
-                )
-                avoid.append(x_pending)
-        for j in range(k):
-            x_next, acq_value = self._propose(cur_low, cur_fused, z, avoid)
-            if first_acq is None:
-                first_acq = acq_value
+        models = fit.models  # swapped for fantasy copies at the first lie
+        fantasy: dict | None = None  # growing training arrays of the copies
 
-            # --- step 3: fidelity selection (l.7, eq. 11/12)
-            fidelity = self.selector.select(x_next, cur_low)
-            remaining = self.budget - projected
-            if self.problem.cost(fidelity) > remaining + 1e-9:
-                if self.problem.cost(FIDELITY_LOW) <= remaining + 1e-9:
-                    # Not enough budget left for a fine simulation; spend
-                    # the remainder on the coarse simulator instead of
-                    # overshooting.
-                    fidelity = FIDELITY_LOW
-                else:
-                    # Not even a coarse simulation fits: stop here so the
-                    # reported cost respects the equivalent-cost budget
-                    # the tables are keyed on.
-                    self._stopped = True
-                    break
-            self._queue.append(Suggestion(x_next, fidelity))
-            chosen.append(fidelity)
-            avoid.append(x_next)
-            projected += self.problem.cost(fidelity)
-            if j < k - 1:
-                if fantasy is None:
-                    cur_low, cur_fused = copy.deepcopy(
-                        (low_models, fused_models)
-                    )
-                    fantasy = self._fantasy_data()
-                self._fantasize(cur_low, cur_fused, fantasy, x_next, fidelity)
-        self._emit_telemetry(
-            "iteration",
-            fit_s=fit.seconds,
-            propose_s=time.perf_counter() - propose_start,
-            fidelity=chosen[0] if chosen else None,
-            n_suggested=len(chosen),
-            acq=first_acq,
-            budget_spent=float(projected),
-        )
+        def propose(j: int, avoid: list[np.ndarray]):
+            return (*self._search(*models, z, avoid), models[0])
+
+        def believe(x: np.ndarray, fidelity: str) -> None:
+            nonlocal models, fantasy
+            if fantasy is None:
+                models = copy.deepcopy(fit.models)
+                fantasy = self._fantasy_data()
+            self._fantasize(*models, fantasy, x, fidelity)
+
+        self._fill_queue(k, fit.seconds, propose, believe)
 
     def _fantasy_data(self) -> dict:
         """Mutable copies of the per-fidelity training arrays."""
@@ -563,31 +632,14 @@ class MFBOptimizer(StrategyBase):
             fantasy["x_high"], fantasy["t_high"],
         )
 
-    def _done(self) -> bool:
-        return (
-            self.history.total_cost >= self.budget - 1e-9
-            or self._iteration >= self.max_iterations
-        )
-
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
     def config_dict(self) -> dict:
         return {
-            "budget": self.budget,
-            "n_init_low": self.n_init_low,
-            "n_init_high": self.n_init_high,
-            "gamma": self.selector.gamma,
-            "n_mc_samples": self.n_mc_samples,
-            "n_restarts": self.n_restarts,
-            "msp_starts": self.msp_starts,
-            "msp_polish": self.msp_polish,
-            "ball_stddev": self.ball_stddev,
-            "fusion": self.fusion,
+            **super().config_dict(),
             "fused_prediction": self.fused_prediction,
             "refit_every": self.refit_every,
-            "gp_max_opt_iter": self.gp_max_opt_iter,
-            "max_iterations": self.max_iterations,
         }
 
     def _extra_state(self) -> dict:

@@ -30,29 +30,21 @@ instead of serializing it.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Callable
 
 import numpy as np
 
-from ..deprecation import keyword_only_config
-from ..acquisition.functions import ViolationAcquisition, WeightedEI
-from ..core.fidelity import FidelitySelector
+from ..acquisition.functions import ViolationAcquisition, wei_or_violation
 from ..core.history import History, Record
-from ..core.strategy import StrategyBase
-from ..design.sampling import maximin_latin_hypercube
+from ..core.mfbo import _TwoFidelityBO
 from ..gp.gpr import GPR
-from ..mf.ar1 import AR1
-from ..mf.nargp import NARGP
-from ..mf.pairs import fit_output_pairs
-from ..optim.msp import MSPOptimizer
 from ..problems.base import FIDELITY_HIGH, FIDELITY_LOW
 from ..problems.multi import MultiObjectiveProblem
-from ..session.protocol import Suggestion
 from .acquisition import (
     ExpectedHypervolumeImprovement,
     ParEGOScalarizer,
-    Predictor,
     draw_simplex_weights,
 )
 from .hypervolume import hypervolume, hypervolume_contributions
@@ -61,7 +53,7 @@ from .pareto import ParetoArchive, non_dominated_mask
 __all__ = ["MOMFBOptimizer"]
 
 
-class MOMFBOptimizer(StrategyBase):
+class MOMFBOptimizer(_TwoFidelityBO):
     """Constrained multi-objective multi-fidelity Bayesian optimizer.
 
     Parameters
@@ -111,10 +103,10 @@ class MOMFBOptimizer(StrategyBase):
     strategy_id = "momfbo"
     rng_stream_names = ("init", "gp", "mc", "acq", "dedup", "scalar")
 
-    @keyword_only_config
     def __init__(
         self,
         problem: MultiObjectiveProblem,
+        *,
         budget: float = 50.0,
         n_init_low: int = 10,
         n_init_high: int = 5,
@@ -140,74 +132,32 @@ class MOMFBOptimizer(StrategyBase):
                 "MOMFBOptimizer needs a MultiObjectiveProblem; got "
                 f"{type(problem).__name__}"
             )
-        if len(problem.fidelities) != 2:
-            raise ValueError(
-                "MOMFBOptimizer needs a two-fidelity problem; got "
-                f"{problem.fidelities}"
-            )
-        if budget <= 0:
-            raise ValueError("budget must be positive")
-        if n_init_low < 1 or n_init_high < 1:
-            raise ValueError("initial designs need at least one point each")
         if acquisition not in ("ehvi", "parego"):
             raise ValueError("acquisition must be 'ehvi' or 'parego'")
-        if fusion not in ("nargp", "ar1"):
-            raise ValueError("fusion must be 'nargp' or 'ar1'")
         if ehvi_mc_samples < 1:
             raise ValueError("ehvi_mc_samples must be >= 1")
-        self.budget = float(budget)
-        self.n_init_low = int(n_init_low)
-        self.n_init_high = int(n_init_high)
+        if ref_point is not None and np.size(ref_point) != problem.n_objectives:
+            raise ValueError(
+                f"reference point needs {problem.n_objectives} coordinates"
+            )
+        super().__init__(
+            problem, budget=budget, n_init_low=n_init_low,
+            n_init_high=n_init_high, gamma=gamma, n_mc_samples=n_mc_samples,
+            n_restarts=n_restarts, msp_starts=msp_starts,
+            msp_polish=msp_polish, ball_stddev=ball_stddev, fusion=fusion,
+            gp_max_opt_iter=gp_max_opt_iter, max_iterations=max_iterations,
+            seed=seed, rng=rng, callback=callback,
+        )
         self.acquisition = acquisition
         self.ref_point_config = (
             None
             if ref_point is None
             else [float(v) for v in np.asarray(ref_point, dtype=float).ravel()]
         )
-        if self.ref_point_config is not None and len(
-            self.ref_point_config
-        ) != problem.n_objectives:
-            raise ValueError(
-                f"reference point needs {problem.n_objectives} coordinates"
-            )
-        self.n_mc_samples = int(n_mc_samples)
         self.ehvi_mc_samples = int(ehvi_mc_samples)
         self.rho = float(rho)
-        self.n_restarts = int(n_restarts)
-        self.msp_starts = int(msp_starts)
-        self.msp_polish = int(msp_polish)
-        self.ball_stddev = float(ball_stddev)
-        self.fusion = fusion
-        self.gp_max_opt_iter = int(gp_max_opt_iter)
-        self.max_iterations = int(max_iterations)
-        self._setup_base(problem, seed, rng, callback)
-        self.selector = FidelitySelector(gamma=gamma)
-        self.acq_optimizer = MSPOptimizer(
-            dim=problem.dim,
-            n_starts=msp_starts,
-            n_polish=msp_polish,
-            frac_around_low=0.10,
-            frac_around_high=0.40,
-            ball_stddev=ball_stddev,
-            rng=self._rng_streams["acq"],
-        )
         self.archive = ParetoArchive(problem.n_objectives)
         self._ref_point: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    # initialization
-    # ------------------------------------------------------------------
-    def _initial_suggestions(self) -> list[Suggestion]:
-        rng = self._rng_streams["init"]
-        init_low = maximin_latin_hypercube(
-            self.n_init_low, self.problem.dim, rng
-        )
-        init_high = maximin_latin_hypercube(
-            self.n_init_high, self.problem.dim, rng
-        )
-        return [Suggestion(u, FIDELITY_LOW) for u in init_low] + [
-            Suggestion(u, FIDELITY_HIGH) for u in init_high
-        ]
 
     # ------------------------------------------------------------------
     # data plumbing
@@ -276,34 +226,6 @@ class MOMFBOptimizer(StrategyBase):
     # ------------------------------------------------------------------
     # model fitting
     # ------------------------------------------------------------------
-    def _fit_pairs(
-        self,
-        x_low: np.ndarray,
-        targets_low: list[np.ndarray],
-        x_high: np.ndarray,
-        targets_high: list[np.ndarray],
-    ) -> tuple[list[GPR], list]:
-        """One (low GP, fused model) pair per target column."""
-        return fit_output_pairs(
-            x_low,
-            targets_low,
-            x_high,
-            targets_high,
-            self._new_fused,
-            n_restarts=self.n_restarts,
-            max_opt_iter=self.gp_max_opt_iter,
-            rng=self._rng_streams["gp"],
-        )
-
-    def _new_fused(self) -> NARGP | AR1:
-        if self.fusion == "nargp":
-            return NARGP(
-                n_mc_samples=self.n_mc_samples,
-                n_restarts=self.n_restarts,
-                max_opt_iter=self.gp_max_opt_iter,
-            )
-        return AR1(n_restarts=self.n_restarts)
-
     def _fit_objective_models(self) -> tuple[list[GPR], list]:
         """EHVI path: objectives first, then one pair per constraint."""
         x_low, f_low, c_low = self._moo_data(FIDELITY_LOW)
@@ -314,7 +236,9 @@ class MOMFBOptimizer(StrategyBase):
         targets_high = [f_high[:, i] for i in range(f_high.shape[1])] + [
             c_high[:, i] for i in range(c_high.shape[1])
         ]
-        return self._fit_pairs(x_low, targets_low, x_high, targets_high)
+        return self._fit_pairs(
+            x_low, targets_low, x_high, targets_high, self._rng_streams["gp"]
+        )
 
     def _make_scalarizer(self, weights: np.ndarray) -> ParEGOScalarizer:
         observed = self._all_objectives()
@@ -334,7 +258,9 @@ class MOMFBOptimizer(StrategyBase):
         x_high, _, c_high = self._moo_data(FIDELITY_HIGH)
         targets_low = [c_low[:, i] for i in range(c_low.shape[1])]
         targets_high = [c_high[:, i] for i in range(c_high.shape[1])]
-        return self._fit_pairs(x_low, targets_low, x_high, targets_high)
+        return self._fit_pairs(
+            x_low, targets_low, x_high, targets_high, self._rng_streams["gp"]
+        )
 
     def _fit_scalarized_models(
         self,
@@ -348,21 +274,14 @@ class MOMFBOptimizer(StrategyBase):
         obj_low, obj_fused = self._fit_pairs(
             x_low, [scalarizer.scalarize(f_low)],
             x_high, [scalarizer.scalarize(f_high)],
+            self._rng_streams["gp"],
         )
         con_low, con_fused = constraint_pairs
         return obj_low + con_low, obj_fused + con_fused
 
     # ------------------------------------------------------------------
-    # acquisition assembly
+    # suggestion
     # ------------------------------------------------------------------
-    @staticmethod
-    def _gp_predictor(model: GPR) -> Predictor:
-        return lambda x: model.predict(x)
-
-    @staticmethod
-    def _fused_predictor(model: NARGP | AR1, z: np.ndarray) -> Predictor:
-        return lambda x: model.predict(x, z=z)
-
     def _build_ehvi(
         self,
         predictors: list,
@@ -384,19 +303,7 @@ class MOMFBOptimizer(StrategyBase):
             z=z_ehvi,
         )
 
-    def _build_wei(
-        self, predictors: list, tau: float | None, any_feasible: bool
-    ) -> WeightedEI | ViolationAcquisition:
-        objective_predictor = predictors[0]
-        constraint_predictors = predictors[1:]
-        if any_feasible or not constraint_predictors:
-            return WeightedEI(objective_predictor, constraint_predictors, tau)
-        return ViolationAcquisition(constraint_predictors)
-
-    # ------------------------------------------------------------------
-    # suggestion
-    # ------------------------------------------------------------------
-    def _propose_ehvi(
+    def _search_ehvi(
         self,
         low_models: list[GPR],
         fused_models: list,
@@ -406,47 +313,34 @@ class MOMFBOptimizer(StrategyBase):
         avoid: list[np.ndarray],
     ) -> tuple[np.ndarray, float]:
         x_low_front, f_low_front = self._fidelity_front(FIDELITY_LOW)
-        x_high_front, f_high_front = (
-            self._archive_x_front(),
-            self.archive.front(),
-        )
+        f_high_front = self.archive.front()
         if fantasy_front:
             f_high_front = (
                 np.vstack([f_high_front, *fantasy_front])
                 if f_high_front.size
                 else np.vstack(fantasy_front)
             )
-        incumbent_low = self._front_incumbent(x_low_front, f_low_front)
-        incumbent_high = self._front_incumbent(
-            x_high_front, self.archive.front()
-        )
-
-        low_predictors = [self._gp_predictor(m) for m in low_models]
         low_acq = self._build_ehvi(
-            low_predictors, f_low_front, f_low_front.shape[0] > 0, z_ehvi
+            [m.predict for m in low_models],
+            f_low_front,
+            f_low_front.shape[0] > 0,
+            z_ehvi,
         )
-        low_result = self.acq_optimizer.maximize(
-            low_acq,
-            incumbent_low=incumbent_low,
-            incumbent_high=incumbent_high,
-        )
-
-        fused_predictors = [
-            self._fused_predictor(m, z_fused) for m in fused_models
-        ]
         high_acq = self._build_ehvi(
-            fused_predictors,
+            [functools.partial(m.predict, z=z_fused) for m in fused_models],
             f_high_front,
             self.archive.has_feasible,
             z_ehvi,
         )
-        high_result = self.acq_optimizer.maximize(
+        return self._two_stage_search(
+            low_acq,
             high_acq,
-            incumbent_low=incumbent_low,
-            incumbent_high=incumbent_high,
-            extra_starts=low_result.x,
+            self._front_incumbent(x_low_front, f_low_front),
+            self._front_incumbent(
+                self._archive_x_front(), self.archive.front()
+            ),
+            avoid,
         )
-        return self._dedup(high_result.x, avoid=avoid), float(high_result.value)
 
     def _archive_x_front(self) -> np.ndarray:
         entries = self.archive.front_entries()
@@ -454,7 +348,7 @@ class MOMFBOptimizer(StrategyBase):
             return np.empty((0, self.problem.dim))
         return np.vstack([e.x_unit for e in entries])
 
-    def _propose_parego(
+    def _search_parego(
         self,
         scalarizer: ParEGOScalarizer,
         low_models: list[GPR],
@@ -480,143 +374,99 @@ class MOMFBOptimizer(StrategyBase):
 
         tau_low, incumbent_low = best_scalarized(FIDELITY_LOW)
         tau_high, incumbent_high = best_scalarized(FIDELITY_HIGH)
-
-        low_predictors = [self._gp_predictor(m) for m in low_models]
-        low_acq = self._build_wei(low_predictors, tau_low, tau_low is not None)
-        low_result = self.acq_optimizer.maximize(
-            low_acq,
-            incumbent_low=incumbent_low,
-            incumbent_high=incumbent_high,
+        low_acq = wei_or_violation([m.predict for m in low_models], tau_low)
+        high_acq = wei_or_violation(
+            [functools.partial(m.predict, z=z_fused) for m in fused_models],
+            tau_high,
         )
-
-        fused_predictors = [
-            self._fused_predictor(m, z_fused) for m in fused_models
-        ]
-        high_acq = self._build_wei(
-            fused_predictors, tau_high, tau_high is not None
+        return self._two_stage_search(
+            low_acq, high_acq, incumbent_low, incumbent_high, avoid
         )
-        high_result = self.acq_optimizer.maximize(
-            high_acq,
-            incumbent_low=incumbent_low,
-            incumbent_high=incumbent_high,
-            extra_starts=low_result.x,
-        )
-        return self._dedup(high_result.x, avoid=avoid), float(high_result.value)
 
     def _refill(self, k: int) -> None:
-        """One BO iteration producing up to ``k`` batch candidates."""
+        """One BO iteration producing up to ``k`` batch candidates.
+
+        In-flight suggestions (asynchronous evaluators) count against
+        the budget and are not re-proposed; on the EHVI path the batch
+        also lies about their outcome, and about every picked member's,
+        with the fused posterior mean appended to the working front, so
+        the next member targets an untouched part of it. Empty for
+        synchronous drivers, keeping serial trajectories bit-identical.
+        Observed results retract their pending entry, so the next refill
+        swaps each fantasy for the real outcome.
+        """
         self._iteration += 1
         if self._ref_point is None:
             self._ref_point = self._infer_ref_point()
-        m = self.problem.n_objectives
         z_fused = self._rng_streams["mc"].standard_normal(self.n_mc_samples)
-        z_ehvi = None
-        scalarizer = None
         fit_start = time.perf_counter()
+        believe: Callable[[np.ndarray, str], None] | None = None
         if self.acquisition == "ehvi":
-            low_models, fused_models = self._fit_objective_models()
-            if m > 2:
-                z_ehvi = self._rng_streams["scalar"].standard_normal(
-                    (self.ehvi_mc_samples, m)
-                )
+            propose, believe = self._ehvi_batch(z_fused)
         else:
+            propose = self._parego_batch(z_fused)
+        self._fill_queue(k, time.perf_counter() - fit_start, propose, believe)
+
+    def _ehvi_batch(self, z_fused: np.ndarray) -> tuple[Callable, Callable]:
+        """Fit every output's pair; return the EHVI proposer and its liar."""
+        m = self.problem.n_objectives
+        low_models, fused_models = self._fit_objective_models()
+        z_ehvi = None
+        if m > 2:
+            z_ehvi = self._rng_streams["scalar"].standard_normal(
+                (self.ehvi_mc_samples, m)
+            )
+        fantasy_front: list[np.ndarray] = []
+
+        def propose(j: int, avoid: list[np.ndarray]) -> tuple:
+            x, value = self._search_ehvi(
+                low_models, fused_models, z_fused, z_ehvi, fantasy_front, avoid
+            )
+            return x, value, low_models
+
+        def believe(x: np.ndarray, fidelity: str) -> None:
+            x2 = x[None, :]
+            fantasy_front.append(
+                np.array(
+                    [
+                        float(model.predict_mean_path(x2)[0][0])
+                        for model in fused_models[:m]
+                    ]
+                )
+            )
+
+        return propose, believe
+
+    def _parego_batch(self, z_fused: np.ndarray) -> Callable:
+        """Fit the constraint pairs once; return the ParEGO proposer.
+
+        Classic ParEGO batching: every member draws its own weight vector
+        and refits the scalarized objective; the constraint models are
+        shared.
+        """
+        m = self.problem.n_objectives
+        constraint_pairs = self._fit_constraint_models()
+
+        def scalarized() -> tuple[ParEGOScalarizer, tuple[list[GPR], list]]:
             weights = draw_simplex_weights(m, self._rng_streams["scalar"])
             scalarizer = self._make_scalarizer(weights)
-            constraint_pairs = self._fit_constraint_models()
-            low_models, fused_models = self._fit_scalarized_models(
+            return scalarizer, self._fit_scalarized_models(
                 scalarizer, constraint_pairs
             )
-        fit_elapsed = time.perf_counter() - fit_start
 
-        propose_start = time.perf_counter()
-        chosen: list[str] = []
-        first_acq: float | None = None
-        projected = self.history.total_cost + self.pending_cost
-        avoid: list[np.ndarray] = []
-        fantasy_front: list[np.ndarray] = []
-        # In-flight suggestions (asynchronous evaluators): count their
-        # budget, avoid re-proposing them and — on the EHVI path — lie
-        # about their outcome with the fused posterior mean so the batch
-        # targets untouched parts of the front. Empty for synchronous
-        # drivers, keeping serial trajectories bit-identical. Observed
-        # results retract their pending entry, so the next refill swaps
-        # each fantasy for the real outcome.
-        for s in self._pending:
-            x_pending = np.asarray(s.x_unit, dtype=float).ravel()
-            avoid.append(x_pending)
-            if self.acquisition == "ehvi":
-                x2 = x_pending[None, :]
-                fantasy_front.append(
-                    np.array(
-                        [
-                            float(model.predict_mean_path(x2)[0][0])
-                            for model in fused_models[:m]
-                        ]
-                    )
-                )
-        for j in range(k):
-            if j > 0 and self.acquisition == "parego":
-                # Classic ParEGO batching: each member optimizes its own
-                # scalarization direction (constraint models are shared).
-                weights = draw_simplex_weights(
-                    m, self._rng_streams["scalar"]
-                )
-                scalarizer = self._make_scalarizer(weights)
-                low_models, fused_models = self._fit_scalarized_models(
-                    scalarizer, constraint_pairs
-                )
-            if self.acquisition == "ehvi":
-                x_next, acq_value = self._propose_ehvi(
-                    low_models, fused_models, z_fused, z_ehvi,
-                    fantasy_front, avoid,
-                )
-            else:
-                x_next, acq_value = self._propose_parego(
-                    scalarizer, low_models, fused_models, z_fused, avoid
-                )
-            if first_acq is None:
-                first_acq = acq_value
+        current = scalarized()
 
-            fidelity = self.selector.select(x_next, low_models)
-            remaining = self.budget - projected
-            if self.problem.cost(fidelity) > remaining + 1e-9:
-                if self.problem.cost(FIDELITY_LOW) <= remaining + 1e-9:
-                    fidelity = FIDELITY_LOW
-                else:
-                    self._stopped = True
-                    break
-            self._queue.append(Suggestion(x_next, fidelity))
-            chosen.append(fidelity)
-            avoid.append(x_next)
-            projected += self.problem.cost(fidelity)
-            if j < k - 1 and self.acquisition == "ehvi":
-                # Constant liar: believe the fused posterior mean of the
-                # picked point so the next member targets a different
-                # part of the front.
-                x2 = x_next[None, :]
-                fantasy_front.append(
-                    np.array(
-                        [
-                            float(model.predict_mean_path(x2)[0][0])
-                            for model in fused_models[:m]
-                        ]
-                    )
-                )
-        self._emit_telemetry(
-            "iteration",
-            fit_s=fit_elapsed,
-            propose_s=time.perf_counter() - propose_start,
-            fidelity=chosen[0] if chosen else None,
-            n_suggested=len(chosen),
-            acq=first_acq,
-            budget_spent=float(projected),
-        )
+        def propose(j: int, avoid: list[np.ndarray]) -> tuple:
+            nonlocal current
+            if j > 0:
+                current = scalarized()
+            scalarizer, (low_models, fused_models) = current
+            x, value = self._search_parego(
+                scalarizer, low_models, fused_models, z_fused, avoid
+            )
+            return x, value, low_models
 
-    def _done(self) -> bool:
-        return (
-            self.history.total_cost >= self.budget - 1e-9
-            or self._iteration >= self.max_iterations
-        )
+        return propose
 
     # ------------------------------------------------------------------
     # observation / archive maintenance
@@ -684,22 +534,11 @@ class MOMFBOptimizer(StrategyBase):
     # ------------------------------------------------------------------
     def config_dict(self) -> dict:
         return {
-            "budget": self.budget,
-            "n_init_low": self.n_init_low,
-            "n_init_high": self.n_init_high,
+            **super().config_dict(),
             "acquisition": self.acquisition,
             "ref_point": self.ref_point_config,
-            "gamma": self.selector.gamma,
-            "n_mc_samples": self.n_mc_samples,
             "ehvi_mc_samples": self.ehvi_mc_samples,
             "rho": self.rho,
-            "n_restarts": self.n_restarts,
-            "msp_starts": self.msp_starts,
-            "msp_polish": self.msp_polish,
-            "ball_stddev": self.ball_stddev,
-            "fusion": self.fusion,
-            "gp_max_opt_iter": self.gp_max_opt_iter,
-            "max_iterations": self.max_iterations,
         }
 
     def _extra_state(self) -> dict:

@@ -13,10 +13,11 @@ so a run vault entry's recorded problem name resolves back to a
 constructible class. Targets are ``"module.path:ClassName"`` strings,
 resolved lazily — registering a problem does not import its module.
 
-The strategy side shares the checkpoint-resume registry of
-:mod:`repro.session.session`, so a strategy registered for
-:func:`get_strategy` is automatically resumable from checkpoints and
-vault run directories (and vice versa).
+Checkpoint resume (:mod:`repro.session.session`) and the run vault
+resolve strategies through the same registry, so a strategy registered
+with :func:`repro.session.register_strategy` is available to
+:func:`get_strategy` and resumable from checkpoints and vault run
+directories.
 """
 
 from __future__ import annotations
@@ -59,6 +60,18 @@ _PROBLEM_ALIASES: dict[str, str] = {
     "pa": "power-amplifier",
     "opamp": "two-stage-opamp",
     "ladder": "interconnect-ladder",
+}
+
+
+#: strategy id -> "module.path:ClassName"; the id is each class's
+#: ``strategy_id``, which checkpoints record
+_STRATEGY_REGISTRY: dict[str, str] = {
+    "mfbo": "repro.core.mfbo:MFBOptimizer",
+    "weibo": "repro.baselines.weibo:WEIBO",
+    "gaspad": "repro.baselines.gaspad:GASPAD",
+    "de": "repro.baselines.de_opt:DEOptimizer",
+    "random_search": "repro.baselines.random_opt:RandomSearchOptimizer",
+    "momfbo": "repro.moo.optimizer:MOMFBOptimizer",
 }
 
 
@@ -105,21 +118,31 @@ def list_problems() -> list[str]:
     return sorted(_PROBLEM_REGISTRY)
 
 
+def register_strategy(strategy_id: str, target: str) -> None:
+    """Register a custom strategy class for checkpoint resume.
+
+    ``target`` is a ``"module.path:ClassName"`` string; the class must
+    accept ``(problem, **config)`` and implement the Strategy protocol.
+    """
+    _STRATEGY_REGISTRY[strategy_id] = target
+
+
 def get_strategy(name: str) -> type:
     """Return a registered strategy class by name.
 
-    Shares the registry used for checkpoint resume, so the built-in
-    names are ``mfbo``, ``weibo``, ``gaspad``, ``de``, ``random_search``
-    and ``momfbo``; custom strategies join via
+    The built-in names are ``mfbo``, ``weibo``, ``gaspad``, ``de``,
+    ``random_search`` and ``momfbo``; custom strategies join via
     :func:`repro.session.register_strategy`.
     """
-    from .session.session import _resolve_strategy
-
-    return _resolve_strategy(name)
+    try:
+        target = _STRATEGY_REGISTRY[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown strategy id {name!r}; registered: {list_strategies()}"
+        ) from None
+    return _resolve_target(target)
 
 
 def list_strategies() -> list[str]:
     """Sorted names accepted by :func:`get_strategy`."""
-    from .session.session import _STRATEGY_REGISTRY
-
     return sorted(_STRATEGY_REGISTRY)

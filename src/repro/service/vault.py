@@ -35,11 +35,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..problems.base import Evaluation, Problem
+from ..registry import get_problem, get_strategy
 from ..session.evaluators import Evaluator
 from ..session.session import (
     CheckpointError,
     OptimizationSession,
-    _resolve_strategy,
     load_checkpoint,
 )
 
@@ -377,8 +377,6 @@ class RunVault:
         instances; ``**config`` is forwarded to the strategy constructor
         when a name is given.
         """
-        from ..registry import get_problem, get_strategy
-
         if isinstance(problem, str):
             problem = get_problem(problem, **(problem_kwargs or {}))
         if isinstance(strategy, str):
@@ -441,7 +439,7 @@ class RunVault:
                 f"{meta['problem']!r}, got {problem.name!r}"
             )
         payload = self._load_newest_checkpoint(run_id)
-        strategy_cls = _resolve_strategy(payload["strategy"])
+        strategy_cls = get_strategy(payload["strategy"])
         strategy = strategy_cls(problem, rng=rng, **payload["state"]["config"])
         strategy.load_state_dict(payload["state"])
         replayed = self._replay_tail(run_id, strategy)

@@ -224,37 +224,6 @@ def test_update_schema_manifest_round_trip(tmp_path):
     assert run_lint([path], manifest=manifest) == []
 
 
-# ----------------------------------------------------------------------
-# element classes: no rule covers the stamp API any more, so element-style
-# code must come out clean
-# ----------------------------------------------------------------------
-def test_stamp002_pairwise_and_branch_aliases_conform(tmp_path):
-    source = """
-    class Element:
-        pass
-
-
-    class Good(Element):
-        def stamp_pattern(self, pattern):
-            i1, i2 = self.node_indices
-            bi = self.branch_index
-            pattern.add_pairwise(i1, i2)
-            pattern.add(bi, bi)
-
-        def stamp_values(self, acc, residual, x, ctx):
-            i1, i2 = self.node_indices
-            bi = self.branch_index
-            acc.add(i1, i2, -1.0)
-            acc.add(bi, bi, 1.0)
-
-        def ac_stamp_values(self, g_acc, c_acc, rhs, x_op, ctx):
-            i1, i2 = self.node_indices
-            g_acc.add(i2, i1, 1.0)
-            c_acc.add(i1, i1, 1.0)
-    """
-    assert findings_of(tmp_path, source) == []
-
-
 def test_fail001_unregistered_exception(tmp_path):
     source = """
     class Problem:

@@ -1,5 +1,8 @@
 """The public API surface: everything README advertises must import."""
 
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,15 @@ class TestTopLevelExports:
     def test_version_string(self):
         major, minor, patch = repro.__version__.split(".")
         assert all(part.isdigit() for part in (major, minor, patch))
+
+    def test_pyproject_reads_the_package_version(self):
+        """The version is declared once, in ``repro.__version__``."""
+        pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+        path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # [tool.setuptools] is "beta"
+            config = pyprojecttoml.read_configuration(path)
+        assert config["project"]["version"] == repro.__version__
 
     def test_key_classes_present(self):
         for name in ("MFBOptimizer", "WEIBO", "GASPAD", "DEOptimizer",

@@ -1,16 +1,12 @@
-"""Optimizer constructor signatures: keyword-only config + legacy shims.
+"""Optimizer constructor signatures: keyword-only configuration.
 
-Every optimizer takes ``(problem, *, config...)`` — configuration is
-keyword-only. The old positional form still works through a
-:func:`repro.deprecation.keyword_only_config` shim that maps positional
-arguments onto the declared parameter order and warns exactly once per
-call, with an identical resulting trajectory.
+Every optimizer takes ``(problem, *, config...)``; passing configuration
+positionally is a ``TypeError``.
 """
 
 import inspect
 import warnings
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -31,18 +27,6 @@ ALL_OPTIMIZERS = [
     RandomSearchOptimizer,
     MOMFBOptimizer,
 ]
-
-
-def _drive(strategy, problem, n=4):
-    for _ in range(n):
-        for s in strategy.suggest(1):
-            strategy.observe(
-                s.x_unit, s.fidelity, problem.evaluate_unit(s.x_unit, s.fidelity)
-            )
-    return [
-        (tuple(float(v) for v in r.x_unit), r.objective)
-        for r in strategy.history.records
-    ]
 
 
 class TestKeywordOnlySignatures:
@@ -68,37 +52,24 @@ class TestKeywordOnlySignatures:
                 ForresterProblem(), budget=5, n_init=3, seed=0
             )
 
-    def test_positional_construction_warns_exactly_once(self):
-        with pytest.warns(DeprecationWarning, match="positionally") as caught:
-            RandomSearchOptimizer(ForresterProblem(), 5, 3, 0)
-        assert (
-            len([w for w in caught if w.category is DeprecationWarning]) == 1
-        )
-
-    def test_positional_maps_onto_declared_order(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = WEIBO(ForresterProblem(), 20, 5)
-        assert legacy.budget == 20 and legacy.n_init == 5
-
-    def test_positional_and_keyword_trajectories_identical(self):
-        problem = ForresterProblem()
-        with pytest.warns(DeprecationWarning):
-            legacy = RandomSearchOptimizer(problem, 8, 3, 42)
-        modern = RandomSearchOptimizer(problem, budget=8, n_init=3, seed=42)
-        assert _drive(legacy, problem) == _drive(modern, problem)
+    @pytest.mark.parametrize("cls", ALL_OPTIMIZERS)
+    def test_positional_config_raises_type_error(self, cls):
+        budget = inspect.signature(cls).parameters["budget"].default
+        with pytest.raises(TypeError, match="positional"):
+            cls(ForresterProblem(), budget)
 
     def test_too_many_positionals_rejected(self):
         sig = inspect.signature(RandomSearchOptimizer)
         n_config = len(sig.parameters) - 1
-        with pytest.raises(TypeError, match="configuration arguments"):
+        with pytest.raises(TypeError, match="positional"):
             RandomSearchOptimizer(
                 ForresterProblem(), *range(3, 3 + n_config + 1)
             )
 
     def test_positional_duplicate_of_keyword_rejected(self):
-        with pytest.raises(TypeError, match="budget"):
+        with pytest.raises(TypeError, match="positional"):
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
+                warnings.simplefilter("error", DeprecationWarning)
                 RandomSearchOptimizer(ForresterProblem(), 8, budget=9)
 
     @pytest.mark.parametrize("cls", ALL_OPTIMIZERS)
